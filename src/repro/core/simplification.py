@@ -31,29 +31,64 @@ Matching details (all checked, the rewrite refuses otherwise):
 * Collapsing per-tuple groups into per-key groups drops duplicate
   (key, aggregate) pairs, so the parent accumulator must be idempotent
   (it is ``set`` in every group-by query the rule targets).
+
+Two further rules run in the same stage.  The C-rules unnest ``exists``,
+``for all``, ``in`` and ``except`` into an outer-join feeding a ``some``/
+``all`` nest but leave the correlation equality inside the nest head (or in
+an outer-unnest predicate), so the outer-join predicate is ``true`` and the
+physical join degenerates to a cross product.  Both rules move that
+equality into the outer-join predicate, where the hash join and the SQLite
+equi-join lowering pick it up:
+
+* **Key pull-up.**  ``Γ^{all/x≠y ∨ e}(X =⨝_p Y)  →  Γ^{all/e}(X =⨝_{p ∧ x=y} Y)``
+  and ``Γ^{some/x=y ∧ e}(X =⨝_p Y)  →  Γ^{some/e}(X =⨝_{p ∧ x=y} Y)``,
+  with ``x`` over the left and ``y`` over the right columns, the nest
+  grouping by the left columns and null-testing a right one.  The key leaf
+  must be *leftmost* in its ``or``/``and`` chain: the left-biased
+  connectives then short-circuit a non-matching pair to the monoid zero
+  without evaluating anything else, and a NULL key makes the whole head
+  NULL, which the nest skips — so only matching pairs ever contributed.
+  A left row left without partners is padded, and padding folds to zero.
+* **Marked exists.**  The translation of ``count(select … where exists k in
+  y.path: p)`` marks every (x, y) pair with ``m = some{true | k <- y.path,
+  p}`` over ``X =⨝_true Y`` and lets a parent nest keep the pairs whose
+  mark holds.  When the parent's predicate is exactly ``m``, the pairs with
+  a false mark and the padded rows are dropped anyway, so the unnest can
+  move under the right side and its cross conjuncts into the join:
+  ``X =⨝_{cross(p)} μ^{path}_{right(p)}(Y)``.
+
+Both rules refuse when a predicate or head they move contains ``/`` or
+``%``: those are the only operators that raise in a typechecked plan, and
+the rewritten plan no longer evaluates them on non-matching pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.algebra.operators import (
     Map,
     Nest,
     Operator,
     OuterJoin,
+    OuterUnnest,
     Reduce,
     Scan,
     Select,
+    Unnest,
     transform_plan,
 )
 from repro.calculus.terms import (
     BinOp,
+    Const,
     Term,
     Var,
+    conj,
     conjuncts,
     free_vars,
     fresh_name,
+    subterms,
     substitute,
     transform,
 )
@@ -71,6 +106,10 @@ def _simplify_node(plan: Operator) -> Operator:
             rewritten = _try_rewrite(plan, child)
             if rewritten is not None:
                 return rewritten
+    if isinstance(plan, Nest):
+        rewritten = _pull_up_key(plan) or _mark_exists(plan)
+        if rewritten is not None:
+            return rewritten
     return plan
 
 
@@ -183,6 +222,142 @@ def _equality_of_copies(
 def _replace_exprs(term: Term, replacements: dict[Term, Term]) -> Term:
     """Replace occurrences of whole expressions (not just variables)."""
     return transform(term, lambda t: replacements.get(t, t))
+
+
+#: Per quantifier monoid: the head connective whose leftmost leaf may be the
+#: key, the key comparison, and the head left once the leaf is removed.
+_KEY_LEAF = {"all": ("or", "!=", Const(False)), "some": ("and", "==", Const(True))}
+
+
+def _pull_up_key(nest: Nest) -> Nest | None:
+    """Key pull-up: move the leftmost key leaf of a quantifier head into
+    the outer-join predicate (repeatedly, for multi-column keys)."""
+    shape = _KEY_LEAF.get(nest.monoid_name)
+    join = nest.child
+    if shape is None or not isinstance(join, OuterJoin):
+        return None
+    if not _groups_left_nulls_right(nest, join):
+        return None
+    if _may_raise(nest.head, nest.pred, join.pred):
+        return None
+    connective, key_op, empty_head = shape
+    leaf, rest = _split_leftmost(nest.head, connective)
+    if not (isinstance(leaf, BinOp) and leaf.op == key_op):
+        return None
+    key = _orient(leaf, join.left.columns(), join.right.columns())
+    if key is None:
+        return None
+    rewritten = Nest(
+        OuterJoin(join.left, join.right, conj(join.pred, BinOp("==", *key))),
+        nest.monoid_name,
+        empty_head if rest is None else rest,
+        nest.group_by,
+        nest.null_vars,
+        nest.out_var,
+        nest.pred,
+    )
+    return _pull_up_key(rewritten) or rewritten
+
+
+def _mark_exists(parent: Nest) -> Nest | None:
+    """Marked exists: move an outer-unnest under the right side of a
+    ``true`` outer-join, and its cross conjuncts into the join."""
+    marks = parent.child
+    if not (
+        isinstance(marks, Nest)
+        and marks.monoid_name == "some"
+        and marks.head == Const(True)
+        and parent.pred == Var(marks.out_var)
+    ):
+        return None
+    unnest = marks.child
+    if not isinstance(unnest, OuterUnnest):
+        return None
+    join = unnest.child
+    if not (isinstance(join, OuterJoin) and join.pred == Const(True)):
+        return None
+    left_columns, right_columns = join.left.columns(), join.right.columns()
+    if not _groups_left_nulls_right(parent, join):
+        return None
+    if tuple(marks.group_by) != left_columns + right_columns:
+        return None
+    if unnest.var not in marks.null_vars:
+        return None
+    if not free_vars(unnest.path) <= set(right_columns):
+        return None
+    if _may_raise(unnest.path, unnest.pred, marks.pred):
+        return None
+    # The mark's own predicate filters the same pairs, so it joins the
+    # unnest predicate's conjuncts.
+    parts = conjuncts(unnest.pred) + conjuncts(marks.pred)
+    inner = set(right_columns) | {unnest.var}
+    right_only = [p for p in parts if free_vars(p) <= inner]
+    cross = [p for p in parts if not free_vars(p) <= inner]
+    if not any(
+        isinstance(p, BinOp) and p.op == "==" and _orient(p, left_columns, inner)
+        for p in cross
+    ):
+        return None
+    rewritten_join = OuterJoin(
+        join.left,
+        Unnest(join.right, unnest.path, unnest.var, conj(*right_only)),
+        conj(*cross),
+    )
+    return Nest(
+        Nest(
+            rewritten_join,
+            "some",
+            marks.head,
+            marks.group_by,
+            marks.null_vars,
+            marks.out_var,
+        ),
+        parent.monoid_name,
+        parent.head,
+        parent.group_by,
+        parent.null_vars,
+        parent.out_var,
+        parent.pred,
+    )
+
+
+def _groups_left_nulls_right(nest: Nest, join: OuterJoin) -> bool:
+    """The nest groups by exactly the join's left columns and null-tests a
+    right one, so every left row has a group and padding folds to zero."""
+    return tuple(nest.group_by) == join.left.columns() and bool(
+        set(nest.null_vars) & set(join.right.columns())
+    )
+
+
+def _may_raise(*terms: Term) -> bool:
+    return any(
+        isinstance(sub, BinOp) and sub.op in ("/", "%")
+        for term in terms
+        for sub in subterms(term)
+    )
+
+
+def _split_leftmost(term: Term, connective: str) -> tuple[Term, Term | None]:
+    """Split the leftmost leaf off a left-biased *connective* chain."""
+    if not (isinstance(term, BinOp) and term.op == connective):
+        return term, None
+    leaf, rest = _split_leftmost(term.left, connective)
+    if rest is None:
+        return leaf, term.right
+    return leaf, BinOp(connective, rest, term.right)
+
+
+def _orient(
+    leaf: BinOp, left: Iterable[str], right: Iterable[str]
+) -> tuple[Term, Term] | None:
+    """``(x, y)`` when *leaf* compares an expression ``x`` over the *left*
+    columns with one ``y`` over the *right* columns, else None."""
+    left, right = set(left), set(right)
+    for x, y in ((leaf.left, leaf.right), (leaf.right, leaf.left)):
+        x_vars, y_vars = free_vars(x), free_vars(y)
+        if x_vars and y_vars and x_vars <= left and y_vars <= right:
+            return x, y
+    return None
 
 
 def simplification_applies(plan: Operator) -> bool:

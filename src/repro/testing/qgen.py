@@ -18,6 +18,13 @@ Deliberate restrictions, so that every execution path stays comparable:
   0.25 — keeps float arithmetic exact, so bit-identical across paths;
 * comparisons only between scalars of the same kind (never whole records),
   so merge-join keys are always totally ordered.
+
+The mix leans toward the shapes the post-unnesting simplification rewrites
+(``repro.core.simplification``): quantifiers over a second extent whose
+body *leads* with a cross-variable key comparison, ``count`` of a select
+filtered by ``exists k in v.kids: k.m = outer.a``, and ``except``/
+``intersect`` of projections from different extents — with the key drawn
+from nullable attributes when one is available, so NULL keys stay in play.
 """
 
 from __future__ import annotations
@@ -97,8 +104,15 @@ class QueryGenerator:
     ):
         if isinstance(schema, GeneratedSchema):
             self.schema = schema.schema
+            nullable = schema.nullable
         else:
             self.schema = schema
+            nullable = set()
+        #: Record type -> attributes that may hold NULL (key-comparison bias).
+        self._nullable: dict[RecordType, set[str]] = {}
+        for class_name, attr in nullable:
+            record_type = self.schema.class_type(class_name)
+            self._nullable.setdefault(record_type, set()).add(attr)
         self.rng = rng
         self.config = config or QueryGenConfig()
         self._var_counter = 0
@@ -229,6 +243,10 @@ class QueryGenerator:
     ) -> str | None:
         """``sum/avg/max/min/count( select ... )`` yielding a numeric."""
         rng = self.rng
+        if env and rng.random() < 0.3:
+            keyed = self._keyed_exists_count(env)
+            if keyed is not None:
+                return keyed
         if rng.random() < 0.4:
             subquery = self._select_query(env, min(depth, 1), force_plain=True)
             return f"count( {subquery} )"
@@ -347,6 +365,10 @@ class QueryGenerator:
 
     def _quantifier(self, env: list[tuple[str, RecordType]], depth: int) -> str:
         rng = self.rng
+        if env and rng.random() < 0.65:
+            keyed = self._keyed_quantifier(env, depth)
+            if keyed is not None:
+                return keyed
         domain, element = self._pick_domain(env, depth)
         var = self._fresh_var()
         inner_env = env + [(var, element)]
@@ -358,12 +380,97 @@ class QueryGenerator:
         keyword = rng.choice(("exists", "for all"))
         return f"{keyword} {var} in {domain}: {body}"
 
+    def _keyed_quantifier(
+        self, env: list[tuple[str, RecordType]], depth: int
+    ) -> str | None:
+        """``for all v in X: (v.a != o.b or ...)`` / ``exists v in X:
+        (v.a = o.b and ...)`` — the body leads with the correlation key."""
+        rng = self.rng
+        # ``exists`` with a leading key mostly unnests straight to a join,
+        # so ``for all`` gets the larger share.
+        keyword = rng.choice(("exists", "for all", "for all"))
+        extent, element = rng.choice(self._extents())
+        var = self._fresh_var()
+        op = "!=" if keyword == "for all" else "="
+        key = self._key_comparison(env, var, element, op)
+        if key is None:
+            return None
+        body = key
+        if rng.random() < 0.6:
+            connective = "or" if keyword == "for all" else "and"
+            inner_env = env + [(var, element)]
+            rest = (
+                self._comparison(inner_env)
+                if depth <= 0 or rng.random() < 0.7
+                else self._predicate(inner_env, depth - 1)
+            )
+            body = f"({key} {connective} {rest})"
+        return f"{keyword} {var} in {extent}: {body}"
+
+    def _key_comparison(
+        self,
+        env: list[tuple[str, RecordType]],
+        var: str,
+        element: RecordType,
+        op: str,
+    ) -> str | None:
+        """``var.a <op> o.b`` for an in-scope ``o.b`` of the same kind,
+        preferring a nullable attribute on either side; None when the
+        kinds never meet."""
+        rng = self.rng
+        inner_nullable = self._nullable.get(element, set())
+        pairs = []
+        for attr, kind in self._scalar_attrs(element, ("int", "string")):
+            for outer, outer_type in env:
+                outer_nullable = self._nullable.get(outer_type, set())
+                for outer_attr, _ in self._scalar_attrs(outer_type, (kind,)):
+                    nullable = attr in inner_nullable or outer_attr in outer_nullable
+                    pairs.append((f"{var}.{attr}", f"{outer}.{outer_attr}", nullable))
+        if not pairs:
+            return None
+        nullable = [pair for pair in pairs if pair[2]]
+        inner, outer, _ = rng.choice(
+            nullable if nullable and rng.random() < 0.7 else pairs
+        )
+        if rng.random() < 0.5:
+            inner, outer = outer, inner
+        return f"{inner} {op} {outer}"
+
+    def _keyed_exists_count(self, env: list[tuple[str, RecordType]]) -> str | None:
+        """``count( select v from v in X where exists k in v.kids: k.m0 =
+        o.b )`` — an existential over a nested set, correlated by key."""
+        rng = self.rng
+        candidates = [
+            (extent, attr, coll.element)
+            for extent, element in self._extents()
+            for attr, coll in self._collection_attrs(element)
+            if isinstance(coll.element, RecordType)
+        ]
+        if not candidates:
+            return None
+        extent, attr, inner = rng.choice(candidates)
+        var, kid = self._fresh_var(), self._fresh_var()
+        body = self._key_comparison(env, kid, inner, "=")
+        if body is None:
+            return None
+        if rng.random() < 0.4:
+            body = f"({body} and {self._comparison(env + [(kid, inner)])})"
+        return (
+            f"count( select {var} from {var} in {extent} "
+            f"where exists {kid} in {var}.{attr}: {body} )"
+        )
+
     def _count_comparison(
         self, env: list[tuple[str, RecordType]], depth: int
     ) -> str:
-        subquery = self._select_query(env, min(depth, 1), force_plain=True)
+        count = None
+        if env and self.rng.random() < 0.3:
+            count = self._keyed_exists_count(env)
+        if count is None:
+            subquery = self._select_query(env, min(depth, 1), force_plain=True)
+            count = f"count( {subquery} )"
         op = self.rng.choice(("=", ">=", "<=", ">", "<"))
-        return f"count( {subquery} ) {op} {self.rng.randint(0, 3)}"
+        return f"{count} {op} {self.rng.randint(0, 3)}"
 
     # -- subqueries ---------------------------------------------------------
 
@@ -506,6 +613,14 @@ class QueryGenerator:
         return aggregate
 
     def _top_boolean(self, depth: int) -> str:
+        if self.rng.random() < 0.5:
+            # A quantifier nested in another, so the inner one correlates.
+            extent, element = self.rng.choice(self._extents())
+            var = self._fresh_var()
+            inner = self._keyed_quantifier([(var, element)], depth - 1)
+            if inner is not None:
+                keyword = self.rng.choice(("exists", "for all"))
+                return f"{keyword} {var} in {extent}: {inner}"
         return self._quantifier([], depth)
 
     def _set_operation(self, depth: int) -> str:
@@ -513,13 +628,17 @@ class QueryGenerator:
         candidates = []
         for extent, element in self._extents():
             for attr, kind in self._scalar_attrs(element):
-                candidates.append((extent, element, attr))
+                candidates.append((extent, element, attr, kind))
         if not candidates:
             return self._select_query([], depth)
-        extent, element, attr = rng.choice(candidates)
+        extent, element, attr, kind = rng.choice(candidates)
         op = rng.choice(("union", "except", "intersect"))
+        # The right side projects from another extent about half the time.
+        others = [c for c in candidates if c[0] != extent and c[3] == kind]
         sides = []
-        for _ in range(2):
+        for index in range(2):
+            if index == 1 and others and rng.random() < 0.5:
+                extent, element, attr, _ = rng.choice(others)
             var = self._fresh_var()
             where = ""
             if rng.random() < 0.8:

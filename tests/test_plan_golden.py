@@ -76,6 +76,25 @@ def test_plan_shape_is_stable(query):
     assert plan_signature(compiled.optimized) == golden[query.name]
 
 
+@pytest.mark.parametrize("query", CORPUS, ids=lambda q: q.name)
+def test_no_cross_product_feeds_a_quantifier(query):
+    """No ``some``/``all`` nest reads a true-predicate nested-loop outer-join
+    directly: the simplify stage pulls the correlation key into the join."""
+    from repro.calculus.terms import Const
+    from repro.engine.physical import PHashNest, PNestedLoopJoin
+
+    db = _database(query.family)
+    pending = [Optimizer(db).compile_oql(query.oql).physical(db)]
+    while pending:
+        op = pending.pop()
+        pending.extend(op.children())
+        if isinstance(op, PHashNest) and op.monoid.name in ("some", "all"):
+            child = op.child
+            assert not (
+                isinstance(child, PNestedLoopJoin) and child.pred == Const(True)
+            ), f"{query.name}: {op.explain()}"
+
+
 def test_no_stale_golden_entries():
     golden = load_golden()
     names = {query.name for query in CORPUS}

@@ -213,6 +213,30 @@ class TestIndexBackedProbes:
         assert "ix$join$Employees$dno" in indexed
         assert "USING INDEX ix$join$" in plan
 
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("setop_except", 't0."id" = t1."id"'),
+            ("nested_quantifiers", 't0."cno" = t1."cno"'),
+            ("auction_category_counts", 't3."name" = t1."name"'),
+        ],
+    )
+    def test_quantifier_outer_join_probes_on_its_key(self, name, key):
+        """The simplify stage pulls each quantifier's correlation key into
+        its outer-join, so the LEFT JOIN is keyed and its inner side is
+        searched through an index instead of scanned per outer row."""
+        query = next(q for q in CORPUS if q.name == name)
+        db = DATABASES[query.family]()
+        [sql] = shredded_sql(db, query.oql)
+        assert "LEFT JOIN" in sql and f"ON ({key})" in sql
+        plan = self._plan(db, query.oql)
+        [probe] = [line for line in plan.splitlines() if "LEFT-JOIN" in line]
+        assert probe.startswith("SEARCH") and "INDEX" in probe
+        if name != "auction_category_counts":
+            # The auction right side is itself a join, which SQLite
+            # materializes and probes through an automatic index.
+            assert "USING INDEX ix$join$" in probe
+
     def test_analyze_ran(self):
         db = DATABASES["company"]()
         store = shredded_store(db)
