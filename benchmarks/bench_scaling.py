@@ -13,35 +13,9 @@ Expected shape (and what the assertions pin):
   hash joins is near-linear, so the speedup *grows* with database size;
 * even without hash joins, unnesting never loses by more than a small
   constant (the plans do the same nested-loop work at worst).
-
-Run as a script, this module instead benchmarks **parallel partitioned
-execution** (repro.engine.exchange) and writes ``BENCH_parallel.json``::
-
-    PYTHONPATH=src python benchmarks/bench_scaling.py          # full report
-    PYTHONPATH=src python benchmarks/bench_scaling.py --quick  # CI smoke
-
-Every corpus query runs serially and through the exchange layer at a
-sweep of worker counts, with agreement asserted on all of them.  The
-speedup floor is machine-aware: the >= 2x geometric-mean bar at 4 workers
-only applies on free-threaded interpreters with >= 4 cores — on a
-GIL-enabled or small-core host, CPU-bound threads cannot speed up, so the
-run instead asserts agreement plus a no-pathological-slowdown sanity
-floor, and records cores/GIL state in the report so the numbers are
-honest about where they were measured.
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import os
-import statistics
-import sys
-import time
-from pathlib import Path
-from typing import Any, Callable
-
-_REPO = Path(__file__).resolve().parent.parent
 
 import pytest
 
@@ -167,214 +141,3 @@ def test_unnested_at_100(benchmark, class_name, description, family, source):
     db = _database(family, 100)
     compiled = Optimizer(db).compile_oql(source)
     benchmark(compiled.execute, db)
-
-
-# ---------------------------------------------------------------------------
-# Parallel-execution benchmark report: ``BENCH_parallel.json``
-# ---------------------------------------------------------------------------
-
-_PARALLEL_WORKERS = (1, 2, 4)
-
-#: Database builders per corpus family (mirroring bench_batch.py: full
-#: sizes make per-row work dominate fixed costs; quick sizes keep CI fast).
-_FULL_DATABASES: dict[str, Callable[[], Any]] = {}
-_QUICK_DATABASES: dict[str, Callable[[], Any]] = {}
-
-
-def _init_parallel_bench() -> None:
-    """Deferred imports: tests/ (for the corpus) is only put on sys.path
-    when the module runs as a script, not under pytest collection."""
-    sys.path.insert(0, str(_REPO / "tests"))
-    sys.path.insert(0, str(_REPO / "src"))
-    from repro.data.datagen import (
-        ab_database,
-        auction_database,
-        travel_database,
-    )
-
-    _FULL_DATABASES.update(
-        {
-            "company": lambda: company_database(700, 20, seed=1998),
-            "university": lambda: university_database(300, 40, seed=1998),
-            "travel": lambda: travel_database(60, 16, seed=1998),
-            "ab": lambda: ab_database(300, 300, seed=1998),
-            "auction": lambda: auction_database(500, 150, seed=1998),
-        }
-    )
-    _QUICK_DATABASES.update(
-        {
-            "company": lambda: company_database(60, 8, seed=1998),
-            "university": lambda: university_database(40, 12, seed=1998),
-            "travel": lambda: travel_database(6, 5, seed=1998),
-            "ab": lambda: ab_database(30, 40, seed=1998),
-            "auction": lambda: auction_database(40, 25, seed=1998),
-        }
-    )
-
-
-def _machine() -> dict[str, Any]:
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
-    # Free-threaded builds (3.13+) report via _is_gil_enabled; anything
-    # older is by definition GIL-bound.
-    gil = getattr(sys, "_is_gil_enabled", lambda: True)()
-    return {
-        "cores": cores,
-        "gil_enabled": bool(gil),
-        "python": sys.version.split()[0],
-    }
-
-
-def _best_of_ms(fn: Callable[[], Any], repeats: int) -> tuple[Any, float]:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, (time.perf_counter() - start) * 1000.0)
-    return result, best
-
-
-def build_parallel_report(quick: bool) -> dict[str, Any]:
-    from corpus import CORPUS
-
-    from repro.core.pipeline import QueryPipeline
-    from repro.engine.exchange import PGather
-    from repro.testing.oracle import results_equal
-
-    makers = _QUICK_DATABASES if quick else _FULL_DATABASES
-    repeats = 2 if quick else 5
-    databases = {name: maker() for name, maker in makers.items()}
-
-    queries = []
-    speedups_at_4 = []
-    disagreements = []
-    for query in CORPUS:
-        db = databases[query.family]
-        serial = QueryPipeline(db)
-        serial.compile_oql(query.oql)
-        serial_result, serial_ms = _best_of_ms(
-            lambda: serial.run_oql(query.oql), repeats
-        )
-
-        entry: dict[str, Any] = {
-            "name": query.name,
-            "family": query.family,
-            "serial_ms": round(serial_ms, 4),
-            "parallel_ms": {},
-        }
-        parallelized = False
-        for workers in _PARALLEL_WORKERS:
-            par = QueryPipeline(
-                db, OptimizerOptions(parallel=True, num_workers=workers)
-            )
-            compiled = par.compile_oql(query.oql)
-            physical = compiled.physical(db, {})
-            if isinstance(physical, PGather):
-                parallelized = True
-                entry.setdefault("strategy", physical.strategy)
-                entry.setdefault("mode", physical.mode)
-            par_result, par_ms = _best_of_ms(
-                lambda: par.run_oql(query.oql), repeats
-            )
-            if not results_equal(serial_result, par_result):
-                disagreements.append(f"{query.name} @ {workers} workers")
-            entry["parallel_ms"][str(workers)] = round(par_ms, 4)
-            if workers == 4:
-                speedup = serial_ms / max(par_ms, 1e-6)
-                entry["speedup_at_4"] = round(speedup, 3)
-                if parallelized:
-                    speedups_at_4.append(speedup)
-        entry["parallelized"] = parallelized
-        queries.append(entry)
-
-    if disagreements:
-        raise AssertionError(
-            "parallel and serial execution disagree: "
-            + ", ".join(disagreements)
-        )
-
-    geomean = statistics.geometric_mean(speedups_at_4)
-    machine = _machine()
-    # The 2x bar needs real concurrency: >= 4 cores and no GIL.  Elsewhere
-    # the exchange machinery is correctness-tested at full strength but
-    # thread speedup is structurally unmeasurable, so the floor degrades to
-    # a no-pathological-slowdown guard.
-    capable = machine["cores"] >= 4 and not machine["gil_enabled"]
-    floor = 2.0 if capable and not quick else 0.1
-    return {
-        "benchmark": "parallel partitioned execution vs serial",
-        "mode": "quick" if quick else "full",
-        "timing": f"best of {repeats} repeats, wall-clock ms",
-        "machine": machine,
-        "workers_swept": list(_PARALLEL_WORKERS),
-        "queries": queries,
-        "parallelized_queries": sum(q["parallelized"] for q in queries),
-        "agreement": f"all {len(queries)} queries agree at every worker count",
-        "geometric_mean_speedup_at_4": round(geomean, 3),
-        "speedup_floor": floor,
-        "floor_rationale": (
-            "full 2x bar (>= 4 cores, free-threaded)"
-            if capable and not quick
-            else "sanity floor only: GIL-bound or < 4 cores — thread "
-            "speedup structurally unmeasurable on this host"
-        ),
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    _init_parallel_bench()
-    parser = argparse.ArgumentParser(
-        description="Benchmark parallel partitioned execution"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small databases, fewer repeats (CI smoke; agreement-focused)",
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=_REPO / "BENCH_parallel.json",
-        help="where to write the JSON report (default: repo root)",
-    )
-    args = parser.parse_args(argv)
-
-    report = build_parallel_report(quick=args.quick)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-
-    width = max(len(q["name"]) for q in report["queries"])
-    print(
-        f"{'query':{width}} {'serial':>10} "
-        + " ".join(f"{f'-j{w}':>10}" for w in _PARALLEL_WORKERS)
-        + f" {'speedup@4':>10}"
-    )
-    for q in report["queries"]:
-        cells = " ".join(
-            f"{q['parallel_ms'][str(w)]:>8.2f}ms" for w in _PARALLEL_WORKERS
-        )
-        tag = "" if q["parallelized"] else "  (serial fallback)"
-        print(
-            f"{q['name']:{width}} {q['serial_ms']:>8.2f}ms {cells} "
-            f"{q['speedup_at_4']:>9.2f}x{tag}"
-        )
-    geomean = report["geometric_mean_speedup_at_4"]
-    machine = report["machine"]
-    print(
-        f"\n{report['parallelized_queries']}/{len(report['queries'])} queries "
-        f"parallelized; geometric-mean speedup at 4 workers: {geomean:.2f}x "
-        f"(cores={machine['cores']}, gil={machine['gil_enabled']}) "
-        f"-> {args.output}"
-    )
-    floor = report["speedup_floor"]
-    if geomean < floor:
-        print(f"FAIL: geometric mean {geomean:.2f}x below the {floor}x floor")
-        return 1
-    print(f"floor: {floor}x ({report['floor_rationale']}) — OK")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

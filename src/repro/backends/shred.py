@@ -127,6 +127,7 @@ from repro.data.values import (
     BagValue,
     CollectionValue,
     ListValue,
+    NullValue,
     Record,
     SetValue,
     is_null,
@@ -165,6 +166,52 @@ _FILE_CACHE_KIB = 16384
 #: fingerprint so a stale layout re-shreds instead of misreading.
 _LAYOUT_VERSION = 2
 _MANIFEST_TABLE = "repro$manifest"
+
+
+def _num_repr(value: Any) -> str:
+    # Values that compare equal must repr equal: True == 1 == 1.0, so all
+    # numerics canonicalize through float where exact.  An int too large
+    # for float can only equal another int with the same repr.
+    try:
+        as_float = float(value)
+    except OverflowError:
+        return f"num:{value!r}"
+    if as_float == value:
+        return f"num:{as_float!r}"
+    return f"num:{value!r}"
+
+
+def _stable_repr(key: Any) -> str:
+    """A canonical string for an identity key: equal keys produce equal
+    strings regardless of ``PYTHONHASHSEED`` (frozenset contents sorted)."""
+    if isinstance(key, bool) or isinstance(key, (int, float)):
+        return _num_repr(key)
+    if isinstance(key, str):
+        return f"str:{key!r}"
+    if isinstance(key, NullValue):
+        return "null"
+    if isinstance(key, tuple):
+        return "(" + ",".join(_stable_repr(part) for part in key) + ")"
+    if isinstance(key, frozenset):
+        return "fs{" + ",".join(sorted(_stable_repr(v) for v in key)) + "}"
+    if isinstance(key, Record):
+        inner = ",".join(
+            f"{name}={_stable_repr(value)}" for name, value in key._key()
+        )
+        return "<" + inner + ">"
+    if isinstance(key, SetValue):
+        return "set{" + ",".join(
+            sorted(_stable_repr(v) for v in key.elements())
+        ) + "}"
+    if isinstance(key, BagValue):
+        parts = sorted(
+            f"{_stable_repr(v)}*{count}"
+            for v, count in key._value_counts().items()
+        )
+        return "bag{" + ",".join(parts) + "}"
+    if isinstance(key, ListValue):
+        return "list[" + ",".join(_stable_repr(v) for v in key) + "]"
+    return f"{type(key).__name__}:{key!r}"  # pragma: no cover - defensive
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +459,6 @@ class ShreddedStore:
         plus a per-extent CRC over canonical element reprs.  Deliberately
         *not* OID-based — engine OIDs are not stable across processes, but
         the stored values are what the shred encodes."""
-        from repro.engine.exchange import _stable_repr
-
         parts = [
             f"format:{_LAYOUT_VERSION}",
             f"schema:{self._database.schema_version}",

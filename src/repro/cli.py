@@ -11,9 +11,7 @@ The interactive shell accepts OQL queries terminated by a semicolon and the
 meta-commands ``\\plan``, ``\\explain``, ``\\trace``, ``\\calculus``,
 ``\\stages`` (toggle per-query output), ``\\cache`` (plan-cache statistics),
 ``\\compile`` (toggle expression codegen), ``\\batch`` (toggle batch
-execution; ``\\batch N`` sets the rows-per-chunk), ``\\parallel`` (toggle
-partitioned parallel execution; ``\\parallel N`` sets the worker count),
-``\\backend``
+execution; ``\\batch N`` sets the rows-per-chunk), ``\\backend``
 (switch between the in-memory engine and the SQLite shredding backend;
 ``\\backend sqlite`` or, file-backed/out-of-core,
 ``\\backend sqlite /tmp/store.db``), ``\\limits``
@@ -131,26 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="rows per chunk on the batch path (default 1024)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help=(
-            "partition the driving extent scan and execute partition-local "
-            "pipelines in a worker pool, merging deterministically at the "
-            "root (plans that do not partition run serially)"
-        ),
-    )
-    parser.add_argument(
-        "-j",
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "worker/partition count for --parallel (default 0: one per "
-            "visible core, capped at 8); implies --parallel when > 0"
-        ),
     )
     parser.add_argument(
         "--backend",
@@ -278,8 +256,6 @@ def run_query(
     compiled_exprs: bool = True,
     batched_exec: bool = True,
     batch_size: int | None = None,
-    parallel: bool = False,
-    num_workers: int = 0,
     timeout: float | None = None,
     max_rows: int | None = None,
     max_bytes: int | None = None,
@@ -297,8 +273,6 @@ def run_query(
             unnest=unnest,
             compiled_exprs=compiled_exprs,
             batched_exec=batched_exec,
-            parallel=parallel or num_workers > 0,
-            num_workers=max(0, num_workers),
             timeout=timeout,
             max_rows=max_rows,
             max_bytes=max_bytes,
@@ -416,7 +390,7 @@ def repl(db_name: str, out=None) -> None:
         f"repro OQL shell — database '{db_name}' ({db!r}).\n"
         "End queries with ';' (views: 'define <name> as <query>;').\n"
         "Meta: \\plan \\explain \\trace \\calculus \\stages \\cache "
-        "\\compile \\batch \\parallel \\backend \\limits \\set name=value "
+        "\\compile \\batch \\backend \\limits \\set name=value "
         "\\params \\views \\db <name> \\quit",
         file=out,
     )
@@ -485,35 +459,6 @@ def repl(db_name: str, out=None) -> None:
                 )
                 state = "on" if optimizer.options.batched_exec else "off"
                 print(f"\\batch {state} (batch execution)", file=out)
-                continue
-            if command == "parallel":
-                from dataclasses import replace as _replace
-
-                if argument:
-                    # ``\parallel N`` sets the worker count (and turns
-                    # parallel execution on); a bare ``\parallel`` toggles.
-                    try:
-                        workers = int(argument)
-                        if workers < 0:
-                            raise ValueError
-                    except ValueError:
-                        print(
-                            "usage: \\parallel (toggle) or \\parallel N "
-                            "(workers, N >= 0; 0 = one per core)",
-                            file=out,
-                        )
-                        continue
-                    optimizer.options = _replace(
-                        optimizer.options, parallel=True, num_workers=workers
-                    )
-                    label = str(workers) if workers else "auto"
-                    print(f"\\parallel on ({label} workers)", file=out)
-                    continue
-                optimizer.options = _replace(
-                    optimizer.options, parallel=not optimizer.options.parallel
-                )
-                state = "on" if optimizer.options.parallel else "off"
-                print(f"\\parallel {state} (partitioned execution)", file=out)
                 continue
             if command == "backend":
                 from dataclasses import replace as _replace
@@ -942,8 +887,6 @@ def main(argv: list[str] | None = None) -> int:
             compiled_exprs=not args.no_compile,
             batched_exec=not args.no_batch,
             batch_size=args.batch_size,
-            parallel=args.parallel,
-            num_workers=args.workers,
             timeout=args.timeout,
             max_rows=args.max_rows,
             max_bytes=args.max_bytes,

@@ -80,7 +80,6 @@ class OptimizerOptions:
     reorder_joins: bool = True
     hash_joins: bool = True
     index_scans: bool = True
-    merge_joins: bool = False
     #: Lower expression trees to native Python closures at plan time
     #: (repro.engine.compile) instead of interpreting the AST per row.
     compiled_exprs: bool = True
@@ -90,14 +89,6 @@ class OptimizerOptions:
     batched_exec: bool = True
     #: Rows per chunk on the batch path.
     batch_size: int = 1024
-    #: Partition the driving extent scan and execute partition-local
-    #: pipelines in a thread pool (repro.engine.exchange), merging at the
-    #: root in deterministic partition order.  Plans whose shape does not
-    #: partition (quantifier roots, Seed-driven plans) run serially.
-    parallel: bool = False
-    #: Worker/partition count when ``parallel``; 0 picks one worker per
-    #: visible core, capped at 8.
-    num_workers: int = 0
     #: Type-check the calculus translation (Figure 3) and the final plan
     #: (Figure 6) during compilation, failing fast on ill-typed queries.
     #: On by default: an ill-typed query should die at plan time with a

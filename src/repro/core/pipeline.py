@@ -50,7 +50,6 @@ from repro.engine.compile import ExprCompiler
 from repro.engine.cost import CostModel
 from repro.engine.executor import ExecutionStats, run_with_stats
 from repro.engine.governor import CancelToken, Governor
-from repro.engine.exchange import PGather
 from repro.engine.planner import PlannerOptions, plan_physical
 from repro.engine.physical import PEval, PReduce, PhysicalOperator
 from repro.errors import ExecutionError, PlanningError, QueryError
@@ -71,12 +70,9 @@ def _planner_options(options: "OptimizerOptions") -> PlannerOptions:
     return PlannerOptions(
         hash_joins=options.hash_joins,
         index_scans=options.index_scans,
-        merge_joins=options.merge_joins,
         compiled_exprs=options.compiled_exprs,
         batched_exec=options.batched_exec,
         batch_size=options.batch_size,
-        parallel=options.parallel,
-        num_workers=options.num_workers,
     )
 
 
@@ -332,7 +328,7 @@ class CompiledQuery:
                 ).evaluate(self.prepared)
             else:
                 physical = self.physical(database, values, governor=governor)
-                assert isinstance(physical, (PReduce, PEval, PGather))
+                assert isinstance(physical, (PReduce, PEval))
                 result = physical.value()
             if self.order_by:
                 result = _apply_order(result, self.order_by, database, values)

@@ -16,7 +16,6 @@ from repro.algebra.operators import Operator
 from repro.calculus.evaluator import ExtentProvider
 from repro.engine.compile import ExprCompiler
 from repro.engine.planner import PlannerOptions, plan_physical
-from repro.engine.exchange import PGather
 from repro.engine.physical import PEval, PReduce, PhysicalOperator
 
 
@@ -143,7 +142,7 @@ def run_with_stats(
         compiler=compiler,
         governor=governor,
     )
-    if not isinstance(physical, (PReduce, PEval, PGather)):
+    if not isinstance(physical, (PReduce, PEval)):
         raise TypeError("a complete plan must be rooted at Reduce or Eval")
     start = time.perf_counter()
     result = physical.value()

@@ -12,7 +12,7 @@ execution cooperatively:
   charged even when it emits few rows.  The check schedule is clamped to
   the budget, so a trip happens within one in-flight batch of exceeding it;
 * **memory budget** (``max_bytes``): blocking operators (hash-join builds,
-  hash-nest groups, merge-join sorts, nested-loop inner materialization)
+  hash-nest groups, nested-loop inner materialization)
   :meth:`~Governor.charge` a shallow byte estimate for what they buffer,
   sampled one row per :data:`SAMPLE_STRIDE`;
 * **cancellation** (:class:`CancelToken`): a thread-safe flag a caller can
@@ -26,15 +26,9 @@ local — no method call; deadline and cancellation checks — the expensive
 parts, a clock read and an ``Event`` load — run once per ``tick_interval``
 units.
 
-A :class:`Governor` is created per execution.  By default it is owned by
-one thread and its counters are plain attributes.  Parallel execution
-(:mod:`repro.engine.exchange`) shares one governor across all partition
-workers so budgets bound the *query*, not each worker: the exchange layer
-calls :meth:`~Governor.enable_sharing` first, which routes every
-mutating path (``tick``/``tick_many``/``charge``/``release``/``check``)
-through a lock.  Workers still amortize via local counters and
-:meth:`~Governor.batch`, so the lock is taken once per settle — measured
-overhead stays ~0%.  The :class:`CancelToken` is thread-safe either way.
+A :class:`Governor` is created per execution and owned by the one thread
+that runs it, so its counters are plain attributes.  Only the
+:class:`CancelToken` is shared across threads, and it is thread-safe.
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ __all__ = [
     "CancelToken",
     "Governor",
     "SAMPLE_STRIDE",
-    "estimate_buffer_bytes",
     "estimate_bytes",
 ]
 
@@ -102,27 +95,6 @@ def estimate_bytes(value: Any) -> int:
 SAMPLE_STRIDE = 16
 
 
-def estimate_buffer_bytes(items: Any, get: Any = None) -> int:
-    """Sampled shallow estimate of an already-materialized buffer.
-
-    Measures every :data:`SAMPLE_STRIDE`-th item (through *get* when the
-    buffered row is wrapped, e.g. merge-join sort keys) and scales to the
-    full length.
-    """
-    n = len(items)
-    if n == 0:
-        return 0
-    total = 0
-    sampled = 0
-    for i in range(0, n, SAMPLE_STRIDE):
-        item = items[i]
-        if get is not None:
-            item = get(item)
-        total += estimate_bytes(item)
-        sampled += 1
-    return (total * n) // sampled
-
-
 class Governor:
     """Per-execution resource limits, checked cooperatively.
 
@@ -151,7 +123,6 @@ class Governor:
         "checkpoints",
         "_deadline",
         "_next_check",
-        "_lock",
     )
 
     def __init__(
@@ -176,27 +147,6 @@ class Governor:
         self.checkpoints = 0
         self._deadline = None if timeout is None else time.monotonic() + timeout
         self._next_check = self._schedule(0)
-        self._lock: threading.Lock | None = None
-
-    def enable_sharing(self) -> None:
-        """Make the counters safe to share across worker threads.
-
-        Idempotent.  After this call every mutating path settles under a
-        single lock; with workers batching locally (see :meth:`batch`)
-        the lock is acquired once per up-to-``tick_interval`` units, so
-        the amortized cost is unchanged.  Under sharing the row budget
-        still trips promptly — within one in-flight local batch *per
-        worker* of the budget being crossed (the single-thread contract
-        is "within one batch"; concurrency adds at most the other
-        workers' in-flight batches before everyone observes the trip).
-        """
-        if self._lock is None:
-            self._lock = threading.Lock()
-
-    @property
-    def shared(self) -> bool:
-        """Whether :meth:`enable_sharing` has been called."""
-        return self._lock is not None
 
     def _schedule(self, ticks: int) -> int:
         """The tick count at which the next checkpoint must run.
@@ -214,16 +164,9 @@ class Governor:
 
         The common case is an increment and a comparison; limits are
         checked on the amortized schedule."""
-        lock = self._lock
-        if lock is None:
-            self.ticks += 1
-            if self.ticks >= self._next_check:
-                self._checkpoint()
-            return
-        with lock:
-            self.ticks += 1
-            if self.ticks >= self._next_check:
-                self._checkpoint()
+        self.ticks += 1
+        if self.ticks >= self._next_check:
+            self._checkpoint()
 
     def batch(self) -> int:
         """How many work units a loop may count locally before it must
@@ -239,26 +182,12 @@ class Governor:
         """Settle *units* locally-counted work units (see :meth:`batch`)."""
         if not units:
             return
-        lock = self._lock
-        if lock is None:
-            self.ticks += units
-            if self.ticks >= self._next_check:
-                self._checkpoint()
-            return
-        with lock:
-            self.ticks += units
-            if self.ticks >= self._next_check:
-                self._checkpoint()
+        self.ticks += units
+        if self.ticks >= self._next_check:
+            self._checkpoint()
 
     def charge(self, nbytes: int) -> None:
         """Charge *nbytes* of buffered memory (blocking operators only)."""
-        lock = self._lock
-        if lock is None:
-            return self._charge(nbytes)
-        with lock:
-            return self._charge(nbytes)
-
-    def _charge(self, nbytes: int) -> None:
         self.bytes_charged += nbytes
         if self.bytes_charged > self.peak_bytes:
             self.peak_bytes = self.bytes_charged
@@ -272,20 +201,11 @@ class Governor:
 
     def release(self, nbytes: int) -> None:
         """Return *nbytes* previously charged (a buffer was dropped)."""
-        lock = self._lock
-        if lock is None:
-            self.bytes_charged = max(0, self.bytes_charged - nbytes)
-            return
-        with lock:
-            self.bytes_charged = max(0, self.bytes_charged - nbytes)
+        self.bytes_charged = max(0, self.bytes_charged - nbytes)
 
     def check(self) -> None:
         """Force a full limit check now (used between pipeline stages)."""
-        lock = self._lock
-        if lock is None:
-            return self._checkpoint()
-        with lock:
-            return self._checkpoint()
+        self._checkpoint()
 
     def _checkpoint(self) -> None:
         self.checkpoints += 1

@@ -47,9 +47,9 @@ native Python closure (:mod:`repro.engine.compile`) when the operator is
 built, so the per-row cost is a cascade of direct calls instead of an AST
 walk.  With ``compiled_exprs=False`` the operators evaluate the same terms
 through the calculus interpreter — the historical behaviour, kept as the
-differential baseline.  Blocking operators (hash join build side, sort-merge
-right side, nested-loop inner, hash-nest grouping) memoize their build work
-on the first ``rows()`` entry, so re-entering a restartable stream does not
+differential baseline.  Blocking operators (hash join build side,
+nested-loop inner, hash-nest grouping) memoize their build work on the
+first ``rows()`` entry, so re-entering a restartable stream does not
 redo it.
 """
 
@@ -66,16 +66,11 @@ from repro.data.values import (
     NULL,
     CollectionValue,
     identity_key,
-    identity_sort_key,
     is_null,
 )
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk, chunk_rows
 from repro.engine.compile import CompiledExpr, CompiledKernel, ExprCompiler
-from repro.engine.governor import (
-    SAMPLE_STRIDE,
-    estimate_buffer_bytes,
-    estimate_bytes,
-)
+from repro.engine.governor import SAMPLE_STRIDE, estimate_bytes
 
 Env = dict[str, Any]
 
@@ -1014,120 +1009,6 @@ class PHashJoin(PhysicalOperator):
         return f"{kind}({keys})"
 
 
-class PMergeJoin(PhysicalOperator):
-    """Sort-merge (outer-)join on a single equi-key.
-
-    Both inputs are materialized, NULL keys filtered symmetrically on both
-    sides (a NULL never equi-joins; left-side NULL rows still pad on an
-    outer join), and the survivors sorted by a total-order wrapper
-    (``identity_sort_key``) that ranks mixed-type keys instead of raising
-    TypeError.  Duplicate key runs produce the cross product of the runs;
-    within a run the *raw* identity keys are re-checked, since the sort
-    wrapper's order is coarser than key equality.  The planner only selects
-    this algorithm when asked to (``PlannerOptions.merge_joins``).  The
-    sorted right side is built once per execution and reused on re-entry.
-    """
-
-    def __init__(
-        self,
-        context: _Context,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        left_key: Term,
-        right_key: Term,
-        residual: Term,
-        right_columns: tuple[str, ...],
-        outer: bool,
-    ):
-        super().__init__()
-        self._context = context
-        self.left = left
-        self.right = right
-        self.left_key = left_key
-        self.right_key = right_key
-        self.residual = residual
-        self.right_columns = right_columns
-        self.outer = outer
-        self._left_key_fn = self._expr(context, left_key)
-        self._right_key_fn = self._expr(context, right_key)
-        self._holds = self._pred(context, residual)
-        self._right_rows: list[tuple] | None = None
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.left, self.right)
-
-    def _keyed(self, source: PhysicalOperator, key_fn) -> Iterator[tuple]:
-        # (sort wrapper, identity key, env) per row; NULL keys are filtered
-        # symmetrically — a NULL key never equi-joins on either side.
-        for env in source.rows():
-            value = key_fn(env)
-            if is_null(value):
-                yield None, None, env
-            else:
-                key = identity_key(value)
-                yield identity_sort_key(key), key, env
-
-    def rows(self) -> Iterator[Env]:
-        charge = self._context.charge_fn()
-        if self._right_rows is None:
-            right_rows = [
-                row
-                for row in self._keyed(self.right, self._right_key_fn)
-                if row[0] is not None
-            ]
-            right_rows.sort(key=lambda row: row[0])
-            if charge is not None:
-                charge(estimate_buffer_bytes(right_rows, get=lambda r: r[2]))
-            self._right_rows = right_rows
-        right_rows = self._right_rows
-        left_rows = list(self._keyed(self.left, self._left_key_fn))
-        if charge is not None:
-            charge(estimate_buffer_bytes(left_rows, get=lambda r: r[2]))
-        nullish = [env for wrapper, _, env in left_rows if wrapper is None]
-        sortable = [row for row in left_rows if row[0] is not None]
-        sortable.sort(key=lambda row: row[0])
-        padding = {col: NULL for col in self.right_columns}
-        holds = self._holds
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-
-        index = 0
-        for wrapper, key, left_env in sortable:
-            while index < len(right_rows) and right_rows[index][0] < wrapper:
-                index += 1
-            matched = False
-            probe = index
-            while probe < len(right_rows) and right_rows[probe][0] == wrapper:
-                units += 1
-                if units >= batch:
-                    governor.tick_many(units)
-                    units = 0
-                    batch = governor.batch()
-                # Wrapper equality is coarser than key equality: confirm on
-                # the raw identity keys before pairing.
-                if right_rows[probe][1] == key:
-                    env = {**left_env, **right_rows[probe][2]}
-                    if holds(env):
-                        matched = True
-                        self.rows_produced += 1
-                        yield env
-                probe += 1
-            if self.outer and not matched:
-                self.rows_produced += 1
-                yield {**left_env, **padding}
-        if governor is not None:
-            governor.tick_many(units)
-        if self.outer:
-            for left_env in nullish:
-                self.rows_produced += 1
-                yield {**left_env, **padding}
-
-    def describe(self) -> str:
-        kind = "MergeOuterJoin" if self.outer else "MergeJoin"
-        return f"{kind}({self.left_key} = {self.right_key})"
-
-
 class PUnnest(PhysicalOperator):
     """Pipelined (outer-)unnest of a collection-valued path."""
 
@@ -1350,7 +1231,7 @@ class PHashNest(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def _accumulate_rows(self, raw: bool = False):
+    def _accumulate_rows(self):
         monoid = self.monoid
         merge = monoid.merge
         head_fn = self._head_fn
@@ -1361,10 +1242,6 @@ class PHashNest(PhysicalOperator):
         order: list[tuple[Any, ...]] = []
         group_envs: dict[tuple[Any, ...], Env] = {}
         collection = isinstance(monoid, CollectionMonoid)
-        # Raw mode (exchange workers) buffers primitive-monoid heads as
-        # element lists too, so the coordinator can replay the serial fold
-        # over the cross-partition merge instead of reassociating carriers.
-        use_list = collection or raw
         lift = monoid.lift
         charge = self._context.charge_fn()
         buffered = 0
@@ -1380,7 +1257,7 @@ class PHashNest(PhysicalOperator):
                 # Collection groups accumulate into a plain list and build
                 # the collection once at the end (per-row immutable merges
                 # would copy the accumulator every row).
-                groups[key] = [] if use_list else monoid.zero
+                groups[key] = [] if collection else monoid.zero
                 order.append(key)
                 group_envs[key] = {col: env[col] for col in group_by}
             if null_vars and any(env[col] is NULL for col in null_vars):
@@ -1388,8 +1265,8 @@ class PHashNest(PhysicalOperator):
             if not holds(env):
                 continue
             value = head_fn(env)
-            if use_list:
-                if collection and charge is not None:
+            if collection:
+                if charge is not None:
                     if not buffered & _STRIDE_MASK:
                         # Sampled: one value charges for its whole stride.
                         charge(estimate_bytes(value) * SAMPLE_STRIDE)
@@ -1399,7 +1276,7 @@ class PHashNest(PhysicalOperator):
                 groups[key] = merge(groups[key], lift(value))
         return order, groups, group_envs
 
-    def _accumulate_batched(self, pred_kernel, head_kernel, raw: bool = False):
+    def _accumulate_batched(self, pred_kernel, head_kernel):
         """The batch-mode grouping build: kernels over child chunks.
 
         Mirrors :meth:`_accumulate_rows` decision for decision — group
@@ -1419,7 +1296,6 @@ class PHashNest(PhysicalOperator):
         order: list[Any] = []
         group_envs: dict[Any, Env] = {}
         collection = isinstance(monoid, CollectionMonoid)
-        use_list = collection or raw
         single = group_by[0] if len(group_by) == 1 else None
         trivial = pred_kernel.trivial_true
         for chunk in self.child.batches():
@@ -1454,7 +1330,7 @@ class PHashNest(PhysicalOperator):
                 keys = [()] * limit
             for i, key in enumerate(keys):
                 if key not in groups:
-                    groups[key] = [] if use_list else monoid.zero
+                    groups[key] = [] if collection else monoid.zero
                     order.append(key)
                     group_envs[key] = {col: cols[col][i] for col in group_by}
             # Rows surviving the null-var and predicate filters, in order.
@@ -1494,7 +1370,7 @@ class PHashNest(PhysicalOperator):
                     picked = picked[:t]
                 for value, i in zip(values, picked):
                     key = keys[i]
-                    if use_list:
+                    if collection:
                         groups[key].append(value)
                     elif value is not NULL:
                         groups[key] = merge(groups[key], lift(value))
@@ -1502,41 +1378,30 @@ class PHashNest(PhysicalOperator):
                 raise err
         return order, groups, group_envs
 
-    def accumulate(self, raw: bool = False):
-        """Partition-local grouping state, for the exchange layer.
-
-        Returns ``(order, groups, group_envs)``: the first-seen key order,
-        the per-key accumulators, and the per-key group environments.
-        Collection-monoid accumulators are plain element lists (stream
-        order, unfolded); primitive ones are pre-finalize carriers, or —
-        with ``raw=True`` — element lists as well, so a coordinator can
-        merge lists across partitions and replay the serial NULL-skipping
-        fold instead of reassociating carriers (which would perturb float
-        results).  The caller merges states in partition order and
-        finalizes once via :meth:`finalize_groups` or its own fold.  Mode
-        selection matches :meth:`_groups`.
-        """
-        context = self._context
-        head_kernel = context.kernel(self.head)
-        if head_kernel is None or context.charge_fn() is not None:
-            return self._accumulate_rows(raw)
-        return self._accumulate_batched(
-            context.pred_kernel(self.pred), head_kernel, raw
-        )
-
-    def finalize_groups(self, order, groups, group_envs) -> list:
-        """Fold/finalize accumulators into ``(group_env, value)`` rows."""
-        monoid = self.monoid
-        if isinstance(monoid, CollectionMonoid):
-            fold = monoid.fold_elements
-            return [(group_envs[key], fold(groups[key])) for key in order]
-        finalize = monoid.finalize
-        return [(group_envs[key], finalize(groups[key])) for key in order]
-
     def _groups(self) -> list:
-        """The memoized grouped rows, built by whichever mode applies."""
+        """The memoized ``(group_env, value)`` rows, in first-seen key order.
+
+        Built by the batch kernels when the head compiles and no memory
+        budget is active, otherwise by the row build (whose stride-sampled
+        byte charging is the parity contract under a budget).
+        """
         if self._group_rows is None:
-            self._group_rows = self.finalize_groups(*self.accumulate())
+            context = self._context
+            head_kernel = context.kernel(self.head)
+            if head_kernel is None or context.charge_fn() is not None:
+                order, groups, group_envs = self._accumulate_rows()
+            else:
+                order, groups, group_envs = self._accumulate_batched(
+                    context.pred_kernel(self.pred), head_kernel
+                )
+            monoid = self.monoid
+            if isinstance(monoid, CollectionMonoid):
+                finish = monoid.fold_elements
+            else:
+                finish = monoid.finalize
+            self._group_rows = [
+                (group_envs[key], finish(groups[key])) for key in order
+            ]
         return self._group_rows
 
     def rows(self) -> Iterator[Env]:
@@ -1690,37 +1555,6 @@ class PReduce(PhysicalOperator):
             if err is not None:
                 raise err
         return self._account(monoid.finalize(result))
-
-    def partial_value(self) -> list:
-        """The partition-local element list, for the exchange workers.
-
-        Returns this partition's head values over the predicate-surviving
-        rows, in stream order, NULLs included (the serial primitive fold
-        skips them at merge time; the coordinator replays that exact fold
-        over the partition-order concatenation, so float arithmetic and
-        collection order match serial execution bit for bit under range
-        partitioning).  Quantifier roots (some/all) never reach here —
-        the planner keeps short-circuiting queries serial.  No result
-        accounting happens here; the gather root owns it.
-        """
-        if self._context.batched:
-            head_kernel = self._context.kernel(self.head)
-            if head_kernel is not None:
-                return self._partial_batched(
-                    head_kernel, self._context.pred_kernel(self.pred)
-                )
-        head_fn = self._head_fn
-        holds = self._holds
-        return [head_fn(env) for env in self.child.rows() if holds(env)]
-
-    def _partial_batched(self, head_kernel, pred_kernel) -> list:
-        elements: list = []
-        for chunk in self.child.batches():
-            values, err = self._chunk_heads(chunk, head_kernel, pred_kernel)
-            elements.extend(values)
-            if err is not None:
-                raise err
-        return elements
 
     def _account(self, result: Any) -> Any:
         # EXPLAIN ANALYZE accounting: the root "produces" the result — one

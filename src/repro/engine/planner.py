@@ -64,9 +64,6 @@ class PlannerOptions:
 
     hash_joins: bool = True
     index_scans: bool = True
-    #: Prefer sort-merge over hash for single-key equi-joins.  Keys must be
-    #: totally ordered values (numbers or strings).
-    merge_joins: bool = False
     #: Lower expression trees to native Python closures (repro.engine.compile)
     #: instead of interpreting the AST per row.
     compiled_exprs: bool = True
@@ -76,13 +73,6 @@ class PlannerOptions:
     batched_exec: bool = True
     #: Rows per chunk on the batch path.
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: Partition the driving extent scan and run partition-local pipelines
-    #: in a worker pool (repro.engine.exchange).  Plans whose shape does
-    #: not partition fall back to serial execution transparently.
-    parallel: bool = False
-    #: Worker/partition count for parallel execution; 0 means one per
-    #: visible core, capped (see repro.engine.exchange.resolve_workers).
-    num_workers: int = 0
 
 
 def plan_physical(
@@ -106,21 +96,6 @@ def plan_physical(
     of this execution.
     """
     options = options or PlannerOptions()
-    if options.parallel:
-        # Imported lazily: exchange depends on this module's _build.
-        from repro.engine.exchange import try_parallel_plan
-
-        gathered = try_parallel_plan(
-            plan,
-            database,
-            options,
-            params=params,
-            profile=profile,
-            compiler=compiler,
-            governor=governor,
-        )
-        if gathered is not None:
-            return gathered
     context = _Context(
         database,
         params,
@@ -142,9 +117,7 @@ def execute(
 ):
     """Plan and run a logical plan, returning its value."""
     physical = plan_physical(plan, database, options, params)
-    from repro.engine.exchange import PGather
-
-    if not isinstance(physical, (PReduce, PEval, PGather)):
+    if not isinstance(physical, (PReduce, PEval)):
         raise TypeError("a complete plan must be rooted at Reduce or Eval")
     return physical.value()
 
@@ -152,24 +125,12 @@ def execute(
 def _build(
     plan: Operator, context: _Context, options: PlannerOptions
 ) -> PhysicalOperator:
-    # Exchange-layer logical nodes carry their own physical construction
-    # (they wrap pre-built operators the planner cannot re-derive).
-    build = getattr(plan, "build_physical", None)
-    if build is not None:
-        return build(context)
     if isinstance(plan, Seed):
         return PSeed()
     if isinstance(plan, Scan):
-        partition = getattr(plan, "partition", None)
-        if partition is not None:
-            from repro.engine.exchange import PPartitionScan
-
-            return PPartitionScan(context, plan.extent, plan.var, partition)
         return PScan(context, plan.extent, plan.var)
     if isinstance(plan, Select):
-        # ``type is`` not isinstance: a PartitionedScan child must keep its
-        # partition restriction, which an index scan would bypass.
-        if options.index_scans and type(plan.child) is Scan:
+        if options.index_scans and isinstance(plan.child, Scan):
             indexed = _try_index_scan(plan, plan.child, context)
             if indexed is not None:
                 return indexed
@@ -281,25 +242,11 @@ def _build_join(
     left = _build(plan.left, context, options)
     right = _build(plan.right, context, options)
     right_columns = plan.right.columns()
-    if options.hash_joins or options.merge_joins:
+    if options.hash_joins:
         keys, residual = split_equi_conjuncts(
             plan.pred, plan.left.columns(), right_columns
         )
-        if options.merge_joins and len(keys) == 1:
-            from repro.engine.physical import PMergeJoin
-
-            (left_key, right_key), = keys
-            return PMergeJoin(
-                context,
-                left,
-                right,
-                left_key,
-                right_key,
-                conj(*residual),
-                right_columns,
-                outer,
-            )
-        if keys and options.hash_joins:
+        if keys:
             return PHashJoin(
                 context,
                 left,

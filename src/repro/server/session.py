@@ -35,32 +35,25 @@ from repro.server.protocol import ProtocolError
 if TYPE_CHECKING:
     from repro.server.admission import TenantAccount
 
-__all__ = ["MAX_SESSION_WORKERS", "SESSION_OPTION_NAMES", "Session"]
+__all__ = ["SESSION_OPTION_NAMES", "Session"]
 
 _session_ids = itertools.count(1)
 
 #: The options a session may change with the ``set`` op.  Deliberately the
-#: serving-relevant subset: governor limits, the backend pair, and the
-#: parallel-execution switches.  Structural phase switches (unnest,
-#: simplify, ...) stay server-side — and so does ``db_path``: it flows
-#: into ``sqlite3.connect()``, so a client that could set it would make
-#: the server create or open an arbitrary filesystem path.  The sqlite
-#: backend always uses the server-configured path (``--db-path``).
+#: serving-relevant subset: the governor limits and the backend.
+#: Structural phase switches (unnest, simplify, ...) stay server-side — and
+#: so does ``db_path``: it flows into ``sqlite3.connect()``, so a client
+#: that could set it would make the server create or open an arbitrary
+#: filesystem path.  The sqlite backend always uses the server-configured
+#: path (``--db-path``).
 SESSION_OPTION_NAMES = frozenset(
     {
         "timeout",
         "max_rows",
         "max_bytes",
         "backend",
-        "parallel",
-        "num_workers",
     }
 )
-
-#: Hard ceiling on client-requested ``num_workers`` — a session must not
-#: be able to make the server spawn an unbounded thread pool.  0 means
-#: "auto" (the engine picks a small host-appropriate count).
-MAX_SESSION_WORKERS = 8
 
 
 class Session:
@@ -95,8 +88,9 @@ class Session:
     def set_options(self, updates: dict[str, Any]) -> dict[str, Any]:
         """Apply ``set`` op updates to the session's options.
 
-        Returns the applied mapping.  Unknown names and un-settable
-        options raise :class:`ProtocolError` without changing anything.
+        Returns the applied mapping.  A name outside
+        :data:`SESSION_OPTION_NAMES` or an unknown backend raises
+        :class:`ProtocolError` without changing anything.
         """
         if not isinstance(updates, dict) or not updates:
             raise ProtocolError("'set' expects a non-empty 'options' object")
@@ -114,18 +108,6 @@ class Session:
                 f"unknown backend {updates['backend']!r}; "
                 "expected 'memory' or 'sqlite'"
             )
-        if "num_workers" in updates:
-            workers = updates["num_workers"]
-            if (
-                isinstance(workers, bool)
-                or not isinstance(workers, int)
-                or not 0 <= workers <= MAX_SESSION_WORKERS
-            ):
-                raise ProtocolError(
-                    f"'num_workers' must be an integer in "
-                    f"[0, {MAX_SESSION_WORKERS}] (0 = auto), "
-                    f"got {workers!r}"
-                )
         try:
             self.pipeline.options = replace(self.pipeline.options, **updates)
         except TypeError as exc:  # pragma: no cover - names checked above

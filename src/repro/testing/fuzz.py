@@ -125,14 +125,11 @@ def check_fault_injection(
        reference semantics — a tripped budget must not leave partial
        results anywhere.
 
-    The same budget also runs through the parallel exchange layer (3
-    workers sharing the governor), where the properties extend to: the
-    outcome category is interleaving-independent, and the worker pool
-    drains fully even when a budget trips mid-query; and through the
-    SQLite shredding backend, where the governor is enforced *inside*
-    SQLite via a progress handler — a trip mid-SELECT must still surface
-    as a structured GovernorError (never a raw sqlite3 exception) and the
-    store must stay reusable for the re-run.
+    The same budget also runs through the SQLite shredding backend, where
+    the governor is enforced *inside* SQLite via a progress handler — a
+    trip mid-SELECT must still surface as a structured GovernorError
+    (never a raw sqlite3 exception) and the store must stay reusable for
+    the re-run.
     """
     from repro.core.optimizer import OptimizerOptions
     from repro.core.pipeline import QueryPipeline
@@ -163,46 +160,6 @@ def check_fault_injection(
         violations.append(
             f"fault injection not deterministic: first run {first!r}, "
             f"second run {second!r} (max_rows={budget})"
-        )
-    # The same budget through the parallel exchange layer: a trip must
-    # surface as the same structured error with every worker drained, and
-    # the outcome category must not depend on thread interleaving.  (The
-    # category may legitimately differ from the serial run's — broadcast
-    # join sides re-tick per worker, a documented over-accounting — so the
-    # two runs compared here are both parallel.)
-    import threading
-
-    baseline_threads = threading.active_count()
-    par_limited = QueryPipeline(
-        db, OptimizerOptions(max_rows=budget, parallel=True, num_workers=3)
-    )
-
-    def run_par_limited() -> str:
-        try:
-            par_limited.run_oql(source, **dict(params))
-            return "ok"
-        except GovernorError:
-            return "tripped"
-        except QueryError:
-            return "error"
-        except Exception as exc:  # noqa: BLE001 - the property under test
-            violations.append(
-                f"parallel fault injection (max_rows={budget}) leaked a raw "
-                f"{type(exc).__name__}: {exc}"
-            )
-            return "leak"
-
-    par_first = run_par_limited()
-    par_second = run_par_limited()
-    if "leak" not in (par_first, par_second) and par_first != par_second:
-        violations.append(
-            f"parallel fault injection not deterministic: first run "
-            f"{par_first!r}, second run {par_second!r} (max_rows={budget})"
-        )
-    if threading.active_count() > baseline_threads:
-        violations.append(
-            f"parallel fault injection leaked worker threads: "
-            f"{threading.active_count()} alive, baseline {baseline_threads}"
         )
     # The same budget through the SQLite shredding backend: the governor
     # runs inside SQLite (progress handler) and between flat queries

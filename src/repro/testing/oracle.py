@@ -21,7 +21,6 @@ that: it runs a query through *every* path the repo can execute —
   the default 1024-row chunks rarely reach;
 * ``pipeline-nl-joins`` — hash joins disabled (everything nested-loop);
 * ``pipeline-no-index`` — index scans disabled;
-* ``pipeline-merge-joins`` — sort-merge joins preferred;
 * ``pipeline-no-opt`` — simplification/algebraic rewriting/join reordering
   all off (the raw unnested plan, physically executed);
 * ``pipeline-cached`` — a second execution of the default pipeline, which
@@ -310,17 +309,10 @@ PATHS: tuple[tuple[str, Callable[[str, Mapping[str, Any], Database], Any]], ...]
     ("pipeline-batched-exec", _pipeline_path(batch_size=7)),
     ("pipeline-nl-joins", _pipeline_path(hash_joins=False)),
     ("pipeline-no-index", _pipeline_path(index_scans=False)),
-    ("pipeline-merge-joins", _pipeline_path(merge_joins=True)),
     (
         "pipeline-no-opt",
         _pipeline_path(simplify=False, algebraic=False, reorder_joins=False),
     ),
-    # Exchange-style partitioned execution (repro.engine.exchange): the
-    # driving scan splits across 3 workers and the root merges in
-    # partition order.  Differential against serial, this pins the whole
-    # decomposition/merge layer — plans that do not partition silently run
-    # serial, which is itself part of the contract under test.
-    ("pipeline-parallel-exec", _pipeline_path(parallel=True, num_workers=3)),
     ("pipeline-cached", _path_pipeline_cached),
     ("param-roundtrip", _path_param_roundtrip),
     # An independently implemented executor: query shredding over stdlib

@@ -146,17 +146,25 @@ class TestRoundTrip:
             assert "db_path" in reply["error"]["message"]
             assert "db_path" not in client.hello()["options"]
 
-    def test_set_bounds_num_workers(self, server):
-        """Client-requested worker counts are clamped server-side — a
-        session must not spawn an unbounded thread pool."""
+    def test_set_rejects_removed_parallel_options(self, server):
+        """``parallel`` and ``num_workers`` are not session options: a
+        ``set`` naming either is an unknown-option error and applies
+        nothing, not even the valid names sent alongside."""
         host, port, _ = server
         with ServeClient(host, port) as client:
-            for bad in (100000, -1, True, "8", 2.5):
-                reply = client.set_options(num_workers=bad)
-                assert not reply.ok, bad
-                assert reply.error_code == "PROTOCOL_ERROR", bad
-            ok = client.set_options(num_workers=2)
-            assert ok.ok and ok["applied"] == {"num_workers": 2}
+            before = client.hello()["options"]
+            for updates in (
+                {"parallel": True},
+                {"num_workers": 2},
+                {"max_rows": 5, "parallel": True},
+            ):
+                reply = client.set_options(**updates)
+                assert not reply.ok, updates
+                assert reply.error_code == "PROTOCOL_ERROR", updates
+                assert "unknown session option" in reply["error"]["message"]
+            after = client.hello()["options"]
+            assert after == before
+            assert "parallel" not in after and "num_workers" not in after
 
     def test_duplicate_inflight_request_id_rejected(self, server):
         """A request reusing an id that is still in flight is rejected

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.data.values import (
@@ -15,6 +19,8 @@ from repro.data.values import (
     is_collection,
     is_null,
 )
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestNull:
@@ -181,3 +187,50 @@ class TestHelpers:
         assert ensure_hashable(Record(a=1)) == Record(a=1)
         with pytest.raises(TypeError):
             ensure_hashable([1, 2])
+
+
+class TestSetIterationOrder:
+    def test_set_value_iterates_in_insertion_order(self):
+        values = ["m", "a", "z", "b", "q"]
+        assert list(SetValue(values).elements()) == values
+
+    def test_dedup_keeps_first_occurrence(self):
+        assert list(SetValue([3, 1, 3, 2, 1]).elements()) == [3, 1, 2]
+
+    def test_union_preserves_left_then_right_order(self):
+        left = SetValue([1, 2])
+        right = SetValue([4, 2, 3])
+        assert list(left.union(right).elements()) == [1, 2, 4, 3]
+
+    def test_iteration_order_is_hash_seed_independent(self):
+        # The same scan printed under two different PYTHONHASHSEED values
+        # must produce byte-identical output: extent order is insertion
+        # order, never hash-table order.  (Bag results preserve scan
+        # order, so any seed-dependence in the set extent would show.)
+        script = (
+            "from repro.data.database import Database\n"
+            "from repro.data.values import Record\n"
+            "from repro.core.pipeline import QueryPipeline\n"
+            "db = Database()\n"
+            "db.add_extent('E', [Record(name=n) for n in "
+            "['zeta', 'alpha', 'mu', 'beta', 'kappa', 'omega']], kind='set')\n"
+            "result = QueryPipeline(db).run_oql("
+            "'select e.name from e in E')\n"
+            "print(list(result.elements()))\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = os.path.join(_REPO, "src")
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert "zeta" in outputs[0]
