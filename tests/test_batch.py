@@ -19,6 +19,7 @@ from repro.calculus.terms import BinOp, Const, Var
 from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
+from repro.data.datagen import company_database, university_database
 from repro.data.values import NULL, CollectionValue, Record
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk, chunk_rows
 from repro.engine.compile import ExprCompiler
@@ -284,6 +285,30 @@ class TestBoundaries:
     @pytest.mark.parametrize("size", [1, 7])
     def test_tiny_and_non_divisible_chunks(self, oql, size, company_db):
         run_both(company_db, oql, batch_size=size)
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_batch_size_does_not_change_results(self, size):
+        db = university_database(40, 12, seed=1998)
+        oql = (
+            "select struct(s: s.name, a: s.age) "
+            "from s in Student where s.age > 20"
+        )
+        batched = run_both(db, oql, batch_size=size)
+        # Bags keep scan order, so chunking must not reorder elements.
+        assert list(batched.elements()) == list(
+            QueryPipeline(db).run_oql(oql).elements()
+        )
+
+    @pytest.mark.parametrize("size", [1, 7, 64, DEFAULT_BATCH_SIZE])
+    def test_float_sum_is_the_exact_left_fold(self, size):
+        # Not approximately equal: every chunk folds into the running sum
+        # in extent order, so no reassociation error is tolerated.
+        db = company_database(97, 11, seed=23)
+        oql = "sum( select e.salary * 1.0000001 from e in Employees )"
+        expected = 0
+        for employee in db.extent("Employees").elements():
+            expected = expected + employee["salary"] * 1.0000001
+        assert run_both(db, oql, batch_size=size) == expected
 
     def test_empty_extent(self):
         db = Database()

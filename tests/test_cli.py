@@ -18,6 +18,16 @@ class TestCliPlumbing:
         assert args.db == "company"
         assert not args.plan and not args.explain
 
+    @pytest.mark.parametrize("flag", ["--parallel", "-j"])
+    def test_parallel_flags_are_not_accepted(self, flag, capsys):
+        # One serial engine: the old worker-pool switches are usage errors.
+        argv = [flag, "select e from e in Employees"]
+        if flag == "-j":
+            argv.insert(1, "2")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_all_demo_databases_build(self):
         for name, maker in DATABASES.items():
             db = maker()

@@ -23,6 +23,7 @@ from repro.errors import (
     QueryCancelled,
     QueryTimeout,
 )
+from repro.testing.oracle import results_equal
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,26 @@ class TestRowBudget:
             pipeline.run_oql(CROSS)
         # A query within budget runs fine on the same pipeline afterwards.
         assert pipeline.run_oql("count( select d from d in Departments )") == 8
+
+
+    @pytest.mark.parametrize("slack", [-1, 0, 1])
+    def test_trips_exactly_when_work_exceeds_the_budget(self, db, slack):
+        # Work totals are deterministic, so the outcome at a budget around
+        # the query's measured total is too: one unit short trips, the
+        # exact total and anything above it run to completion.
+        oql = "select distinct e.name from e in Employees"
+        work = QueryPipeline(
+            db, OptimizerOptions(timeout=3600.0)
+        ).run_oql_stats(oql).governor_ticks
+        assert work > 0
+        pipeline = QueryPipeline(db, OptimizerOptions(max_rows=work + slack))
+        if slack < 0:
+            with pytest.raises(BudgetExceeded, match=rf"{work} work units"):
+                pipeline.run_oql(oql)
+        else:
+            assert results_equal(
+                pipeline.run_oql(oql), QueryPipeline(db).run_oql(oql)
+            )
 
 
 class TestTimeout:
@@ -155,6 +176,43 @@ class TestCancellation:
         finally:
             canceller.join()
 
+    def test_pre_cancelled_token_stops_a_scan_free_plan(self, db):
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(QueryCancelled):
+            QueryPipeline(db).run_oql("1 + 2", cancel_token=token)
+
+    def test_cancel_from_a_timer_stops_a_nested_loop_join(self):
+        # A theta join cannot be hashed: the nested loop considers every
+        # pair, and the cancellation must land between its checkpoints.
+        big = company_database(num_employees=400, num_departments=16, seed=3)
+        pipeline = QueryPipeline(big)
+        oql = (
+            "select struct(a: e.name, b: f.name) from e in Employees, "
+            "f in Employees where e.salary > f.salary"
+        )
+        token = CancelToken()
+        timer = threading.Timer(0.005, token.cancel)
+        timer.start()
+        try:
+            with pytest.raises(QueryCancelled):
+                for _ in range(1000):
+                    pipeline.run_oql(oql, cancel_token=token)
+        finally:
+            timer.cancel()
+            timer.join()
+
+    def test_concurrent_cancels_are_idempotent(self):
+        token = CancelToken()
+        threads = [threading.Thread(target=token.cancel) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert token.cancelled
+        token.cancel()
+        assert token.cancelled
+
     def test_token_is_reusable_across_queries(self, db):
         token = CancelToken()
         pipeline = QueryPipeline(db)
@@ -180,6 +238,17 @@ class TestGovernorUnit:
             for _ in range(11):
                 governor.tick()
         assert governor.ticks == 11
+
+    def test_tick_many_accounts_every_unit(self):
+        # Batched settles must neither lose units nor trip early: exactly
+        # the budget passes, and the next unit trips.
+        governor = Governor(max_rows=8000, tick_interval=64)
+        for _ in range(800):
+            governor.tick_many(10)
+        assert governor.ticks == 8000
+        with pytest.raises(BudgetExceeded):
+            governor.tick_many(1)
+        assert governor.ticks == 8001
 
     def test_charge_and_release(self):
         governor = Governor(max_bytes=1000)

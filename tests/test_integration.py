@@ -117,3 +117,27 @@ def test_results_are_nontrivial(databases):
         assert result is not None
         if hasattr(result, "__len__"):
             assert len(result) > 0, f"{name} returned an empty result"
+
+
+#: Aggregates, a distinct projection, a correlated nest and both
+#: quantifiers, run on generated data rather than the fixed corpus
+#: databases.
+GENERATED_DATA_QUERIES = (
+    "sum( select e.salary / 3.0 from e in Employees )",
+    "select distinct e.name from e in Employees where e.salary > 1000",
+    "select struct(d: d.dno, es: (select e.name from e in Employees "
+    "where e.dno = d.dno)) from d in Departments",
+    "avg( select e.salary from e in Employees )",
+    "exists e in Employees: e.salary > 0",
+    "for all e in Employees: e.salary > 1000",
+)
+
+
+@pytest.mark.parametrize("oql", GENERATED_DATA_QUERIES)
+def test_physical_engine_matches_calculus_on_generated_data(oql):
+    from repro.data.datagen import company_database
+    from repro.testing.oracle import results_equal
+
+    db = company_database(61, 9, seed=1998)
+    reference = evaluate(parse_and_translate(oql, db.schema), db)
+    assert results_equal(Optimizer(db).run_oql(oql), reference)

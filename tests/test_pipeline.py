@@ -74,6 +74,12 @@ class TestStages:
         assert pipeline.stage_counts["parse"] == 2
         assert pipeline.stage_counts["normalize"] == 2
 
+    def test_constant_query_plans_without_an_extent_scan(self, db):
+        compiled = QueryPipeline(db).compile_oql("1 + 2")
+        physical = compiled.physical(db, {})
+        assert "Scan(" not in physical.explain()
+        assert compiled.execute(db) == 3
+
 
 class TestPlanCache:
     def test_repeat_compile_is_a_cache_hit(self, db):
