@@ -1,12 +1,12 @@
 """Governor overhead benchmark: ``BENCH_governor.json``.
 
 Runs every corpus query through the full pipeline twice — ungoverned (the
-default, where every operator's tick hook is ``None`` and the hot loops
-stay branch-only) and governed with generous limits (``timeout``,
-``max_rows``, ``max_bytes`` all set high enough that nothing ever trips,
-so the run pays the full accounting cost: batched work-unit counting plus
-sampled byte estimates in the buffering loops) — and reports per-family
-and overall overhead.
+default, where operators skip work-unit settling and byte charging) and
+governed with generous limits (``timeout``, ``max_rows``, ``max_bytes``
+all set high enough that nothing ever trips, so the run pays the full
+accounting cost: per-chunk work-unit settling plus sampled byte estimates
+in the blocking builds) — and reports per-family and overall overhead.
+Both runs execute the same physical operators.
 
 The acceptance bar is that enabling the governor costs < 3% wall-clock on
 the corpus overall.  Each timing sample is a whole family's corpus run

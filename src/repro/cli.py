@@ -10,8 +10,8 @@ Usage::
 The interactive shell accepts OQL queries terminated by a semicolon and the
 meta-commands ``\\plan``, ``\\explain``, ``\\trace``, ``\\calculus``,
 ``\\stages`` (toggle per-query output), ``\\cache`` (plan-cache statistics),
-``\\compile`` (toggle expression codegen), ``\\batch`` (toggle batch
-execution; ``\\batch N`` sets the rows-per-chunk), ``\\backend``
+``\\compile`` (toggle expression codegen), ``\\batch N`` (rows per
+columnar chunk), ``\\backend``
 (switch between the in-memory engine and the SQLite shredding backend;
 ``\\backend sqlite`` or, file-backed/out-of-core,
 ``\\backend sqlite /tmp/store.db``), ``\\limits``
@@ -116,19 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help=(
-            "stream one row at a time between operators instead of "
-            "columnar chunks (the batch-execution escape hatch)"
-        ),
-    )
-    parser.add_argument(
         "--batch-size",
         type=int,
         default=None,
         metavar="N",
-        help="rows per chunk on the batch path (default 1024)",
+        help="rows per columnar chunk passed between operators (default 1024)",
     )
     parser.add_argument(
         "--backend",
@@ -254,7 +246,6 @@ def run_query(
     compare_naive: bool = False,
     unnest: bool = True,
     compiled_exprs: bool = True,
-    batched_exec: bool = True,
     batch_size: int | None = None,
     timeout: float | None = None,
     max_rows: int | None = None,
@@ -272,7 +263,6 @@ def run_query(
         options = OptimizerOptions(
             unnest=unnest,
             compiled_exprs=compiled_exprs,
-            batched_exec=batched_exec,
             timeout=timeout,
             max_rows=max_rows,
             max_bytes=max_bytes,
@@ -390,7 +380,7 @@ def repl(db_name: str, out=None) -> None:
         f"repro OQL shell — database '{db_name}' ({db!r}).\n"
         "End queries with ';' (views: 'define <name> as <query>;').\n"
         "Meta: \\plan \\explain \\trace \\calculus \\stages \\cache "
-        "\\compile \\batch \\backend \\limits \\set name=value "
+        "\\compile \\batch N \\backend \\limits \\set name=value "
         "\\params \\views \\db <name> \\quit",
         file=out,
     )
@@ -432,33 +422,15 @@ def repl(db_name: str, out=None) -> None:
             if command == "batch":
                 from dataclasses import replace as _replace
 
-                if argument:
-                    # ``\batch N`` sets the chunk size (and turns batching
-                    # on); a bare ``\batch`` toggles the mode.
-                    try:
-                        size = int(argument)
-                        if size < 1:
-                            raise ValueError
-                    except ValueError:
-                        print(
-                            "usage: \\batch (toggle) or \\batch N "
-                            "(rows per chunk, N >= 1)",
-                            file=out,
-                        )
-                        continue
-                    optimizer.options = _replace(
-                        optimizer.options, batched_exec=True, batch_size=size
-                    )
-                    print(
-                        f"\\batch on ({size} rows per chunk)", file=out
-                    )
+                try:
+                    size = int(argument)
+                    if size < 1:
+                        raise ValueError
+                except ValueError:
+                    print("usage: \\batch N (rows per chunk, N >= 1)", file=out)
                     continue
-                optimizer.options = _replace(
-                    optimizer.options,
-                    batched_exec=not optimizer.options.batched_exec,
-                )
-                state = "on" if optimizer.options.batched_exec else "off"
-                print(f"\\batch {state} (batch execution)", file=out)
+                optimizer.options = _replace(optimizer.options, batch_size=size)
+                print(f"\\batch ({size} rows per chunk)", file=out)
                 continue
             if command == "backend":
                 from dataclasses import replace as _replace
@@ -885,7 +857,6 @@ def main(argv: list[str] | None = None) -> int:
             compare_naive=args.naive,
             unnest=not args.no_unnest,
             compiled_exprs=not args.no_compile,
-            batched_exec=not args.no_batch,
             batch_size=args.batch_size,
             timeout=args.timeout,
             max_rows=args.max_rows,

@@ -83,11 +83,7 @@ class OptimizerOptions:
     #: Lower expression trees to native Python closures at plan time
     #: (repro.engine.compile) instead of interpreting the AST per row.
     compiled_exprs: bool = True
-    #: Execute plans batch-at-a-time: operators exchange columnar chunks
-    #: and expressions run as tier-3 batch kernels.  Requires
-    #: ``compiled_exprs``; with it off, execution stays row-at-a-time.
-    batched_exec: bool = True
-    #: Rows per chunk on the batch path.
+    #: Rows per columnar chunk passed between physical operators.
     batch_size: int = 1024
     #: Type-check the calculus translation (Figure 3) and the final plan
     #: (Figure 6) during compilation, failing fast on ill-typed queries.

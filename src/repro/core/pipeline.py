@@ -71,7 +71,6 @@ def _planner_options(options: "OptimizerOptions") -> PlannerOptions:
         hash_joins=options.hash_joins,
         index_scans=options.index_scans,
         compiled_exprs=options.compiled_exprs,
-        batched_exec=options.batched_exec,
         batch_size=options.batch_size,
     )
 

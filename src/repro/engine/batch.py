@@ -1,23 +1,21 @@
 """Columnar chunks: the unit of batch-at-a-time execution.
 
-The batched physical engine (:mod:`repro.engine.physical`) passes
-:class:`Chunk` objects between operators instead of one environment dict
-per row.  A chunk is a plain column store — ``{column name: list of
-values}`` plus a row count — over the same environments the row engine
-streams: ``chunk.env_at(i)`` reconstructs row *i* exactly as ``rows()``
-would have yielded it.
+The physical engine (:mod:`repro.engine.physical`) passes :class:`Chunk`
+objects between operators: a chunk is a plain column store — ``{column
+name: list of values}`` plus a row count — and ``chunk.env_at(i)`` is row
+*i* as an environment dict (what the reference evaluators bind).
 
-Two invariants keep the batch path byte-compatible with the row path:
+Two invariants keep chunked execution faithful to the row-at-a-time
+semantics of the calculus and algebra evaluators:
 
 * **Chunks are never empty.**  Producers only yield chunks with at least
-  one row, so a tier-3 kernel is never invoked over zero rows — its
+  one row, so a batch kernel is never invoked over zero rows — its
   column-hoisting prologue would otherwise raise an unbound-variable
-  error on a stream the row path drains silently.
-* **Errors are delivered lazily.**  :func:`chunk_rows` (and every native
-  batch producer) yields the rows that preceded a mid-stream failure as a
-  final partial chunk *before* re-raising, so a consumer that
-  short-circuits — an ``exists`` satisfied by an early row — never
-  observes an error the row-at-a-time path would not have reached.
+  error on a stream that should drain silently.
+* **Errors are delivered lazily.**  Every producer yields the rows that
+  preceded a mid-stream failure as a final partial chunk *before*
+  re-raising, so a consumer that short-circuits — an ``exists`` satisfied
+  by an early row — never observes an error of a row it did not need.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ class Chunk:
         self.length = length
 
     def env_at(self, i: int) -> Env:
-        """Row *i* as the environment dict the row engine would yield."""
+        """Row *i* as an environment dict."""
         return {name: col[i] for name, col in self.columns.items()}
 
     def envs(self) -> Iterator[Env]:
@@ -69,56 +67,3 @@ class Chunk:
     def __repr__(self) -> str:
         return f"Chunk({sorted(self.columns)}, rows={self.length})"
 
-
-def chunk_rows(rows: Iterator[Env], size: int) -> Iterator[Chunk]:
-    """Adapt a row stream into chunks of up to *size* rows.
-
-    Only non-empty chunks are yielded.  A mid-stream exception is held
-    until the rows already buffered have been yielded as a partial chunk,
-    then re-raised — matching the row path, where a consumer sees every
-    row that preceded the failure (and may stop pulling before it).
-
-    Every row must bind exactly the columns of the first row.  A key-set
-    mismatch raises ``ValueError`` immediately (no partial-chunk flush):
-    it is an operator bug, not a data error — silently dropping extra
-    keys or raising an opaque ``KeyError`` both hide the real problem.
-    """
-    names: list[str] = []
-    columns: dict[str, list] | None = None
-    count = 0
-    pending: BaseException | None = None
-    iterator = iter(rows)
-    while True:
-        try:
-            env = next(iterator)
-        except StopIteration:
-            break
-        except Exception as exc:  # noqa: BLE001 - replayed after the flush
-            pending = exc
-            break
-        if columns is None:
-            names = list(env)
-            columns = {name: [] for name in names}
-        if len(env) != len(names):
-            raise ValueError(
-                f"chunk_rows: row binds columns {sorted(env)} but the "
-                f"stream started with {sorted(names)}"
-            )
-        try:
-            for name in names:
-                columns[name].append(env[name])
-        except KeyError:
-            raise ValueError(
-                f"chunk_rows: row binds columns {sorted(env)} but the "
-                f"stream started with {sorted(names)}"
-            ) from None
-        count += 1
-        if count >= size:
-            yield Chunk(columns, count)
-            columns = {name: [] for name in names}
-            count = 0
-    if count:
-        assert columns is not None
-        yield Chunk(columns, count)
-    if pending is not None:
-        raise pending

@@ -2,7 +2,7 @@
 
 The physical operators evaluate a handful of :class:`~repro.calculus.terms.
 Term` trees — select predicates, map heads, join keys, unnest paths, reduce
-accumulators — once **per row**.  Walking the AST through
+accumulators — for every row of every chunk.  Walking the AST through
 :class:`~repro.calculus.evaluator.Evaluator` for every row pays a large
 constant factor: a type-dispatch dictionary lookup, a bound-method call, two
 ``isinstance`` NULL tests, and (for binary operations) a chain of string
@@ -28,7 +28,11 @@ This module removes that factor by *lowering* each term, in three tiers:
    env dict per row.  Kernels never raise mid-batch: an exception at row
    *t* is returned as ``(values so far, t, error)`` so the caller can
    deliver the preceding rows first and replay the error lazily, exactly
-   where the row path would have raised it (see :class:`CompiledKernel`).
+   where row-by-row evaluation would have raised it (see
+   :class:`CompiledKernel`).  The physical operators call only kernels;
+   the row closures of tiers 1 and 2 back the kernels' per-row fallback
+   (:func:`_loop_kernel`) and the once-per-execution expressions (index
+   keys, ``Eval`` roots).
 
 Either tier degrades per node, never per term: a node kind neither tier
 knows (a residual :class:`~repro.calculus.terms.Comprehension`) compiles
@@ -58,7 +62,9 @@ Three properties are load-bearing:
 The compiler is wired into the engine through ``PlannerOptions.
 compiled_exprs`` (default on; ``--no-compile`` from the CLI) and cached per
 plan on :class:`~repro.core.pipeline.CompiledQuery`, so the plan cache
-amortizes codegen along with planning.
+amortizes codegen along with planning.  With it off, the engine wraps the
+calculus interpreter in the same :func:`_loop_kernel` adapter, so both
+expression tiers run through the same operators.
 """
 
 from __future__ import annotations
@@ -155,8 +161,8 @@ class CompiledKernel:
     ``[0, t)``, plus the exception row *t* raised — or ``(values, n,
     None)`` when every row succeeded.  Capturing instead of raising is the
     contract that lets batch operators deliver the pre-error rows to their
-    consumer before replaying the failure, preserving the row path's lazy
-    short-circuit semantics.
+    consumer before replaying the failure, preserving the lazy
+    short-circuit semantics of row-by-row evaluation.
 
     ``trivial_true`` marks the predicate kernel for ``Const(True)`` (the
     planner's "no predicate" marker) so operators can skip the kernel call
@@ -291,7 +297,7 @@ class ExprCompiler:
         """Lower *term* to a strict-boolean function (NULL counts as False).
 
         The result's ``fn`` returns only ``True`` or ``False`` — exactly
-        ``_Context.holds``: a NULL predicate fails the filter, anything
+        a filter's semantics: a NULL predicate fails the filter, anything
         non-boolean raises :class:`EvaluationError`.
         """
         hit = self._id_hit("pred", term)
@@ -1260,7 +1266,7 @@ class _KernelEmitter(_SourceEmitter):
         # columns; columns absent from the chunk are omitted (guarded by
         # the ``if _n in cols`` prologue filter) so the interpreter's own
         # unbound-variable error fires only if the row actually reads the
-        # name — exactly the row path's laziness.
+        # name — exactly the interpreter's laziness.
         sub = self.bind("s", self.compiler._compile(term, self.counter))
         names = sorted(free_vars(term))
         scoped = [(name, self._scope[name]) for name in names if name in self._scope]
@@ -1391,7 +1397,7 @@ class _KernelEmitter(_SourceEmitter):
         # Raw KeyError on an unbound parameter reruns through the slow
         # loop, which raises the structured UnboundParameterError.  Kept
         # lazy (no prologue hoist) so a parameter referenced only in an
-        # untaken If branch stays unread, as on the row path.
+        # untaken If branch stays unread, as in the interpreter.
         return f"rt.params[{term.name!r}]"
 
     def _x_extent(self, term: Extent) -> str:
@@ -1487,7 +1493,7 @@ class _KernelEmitter(_SourceEmitter):
         left = self.xgen(term.left)
         right = self.xgen(term.right)
         if term.op == "and":
-            # right IS evaluated when left is NULL, as on the row path.
+            # right IS evaluated when left is NULL, as in the interpreter.
             return (
                 f"(False if ({lt} := {left}) is False else "
                 f"(NULL if (({rt_} := {right}) is NULL) or {lt} is NULL "

@@ -27,8 +27,8 @@ class OperatorStats:
     ("compiled", "mixed", "interpreted", or "" for expression-free
     operators); ``eval_ms`` is the wall time spent inside those expression
     evaluators when profiling was enabled.  ``batches_produced`` /
-    ``batch_rows`` record the operator's chunked output when it executed
-    on the batch path (both stay 0 for row-mode executions).
+    ``batch_rows`` record the operator's chunked output (both stay 0 for
+    the root, which folds its input into a value).
     """
 
     operator: str

@@ -10,7 +10,8 @@ execution cooperatively:
 * **row budget** (``max_rows``): counts *work units* — rows emitted by
   operators plus inner join-pair iterations — so a nested-loop blowup is
   charged even when it emits few rows.  The check schedule is clamped to
-  the budget, so a trip happens within one in-flight batch of exceeding it;
+  the budget and the engine settles units in steps that stop at the next
+  checkpoint, so a trip happens at exactly ``max_rows + 1`` units;
 * **memory budget** (``max_bytes``): blocking operators (hash-join builds,
   hash-nest groups, nested-loop inner materialization)
   :meth:`~Governor.charge` a shallow byte estimate for what they buffer,
@@ -19,12 +20,11 @@ execution cooperatively:
   trip from outside; the running query observes it at the next settle and
   stops with :class:`~repro.errors.QueryCancelled`.
 
-Hot loops count work units in a local integer and settle every
-:meth:`~Governor.batch` units via :meth:`~Governor.tick_many`, so the
-per-unit cost in governed execution is an increment and a comparison on a
-local — no method call; deadline and cancellation checks — the expensive
-parts, a clock read and an ``Event`` load — run once per ``tick_interval``
-units.
+The engine's operators settle work units once per chunk via
+:meth:`~Governor.tick_many`, in steps of at most :meth:`~Governor.batch`
+units, so governed execution pays no per-unit method call; deadline and
+cancellation checks — the expensive parts, a clock read and an ``Event``
+load — run once per ``tick_interval`` units.
 
 A :class:`Governor` is created per execution and owned by the one thread
 that runs it, so its counters are plain attributes.  Only the
@@ -101,8 +101,8 @@ class Governor:
     Args:
         timeout: wall-clock budget in seconds, or ``None`` for unlimited.
         max_rows: work-unit budget (rows emitted + join pairs considered),
-            or ``None`` for unlimited.  Enforced within one in-flight
-            batch per ticking operator (see :meth:`batch`).
+            or ``None`` for unlimited.  Trips at exactly ``max_rows + 1``
+            units when callers settle in steps of :meth:`batch`.
         max_bytes: estimated-memory budget for blocking operators, or
             ``None`` for unlimited.
         token: an optional :class:`CancelToken` observed at checkpoints.
@@ -169,13 +169,13 @@ class Governor:
             self._checkpoint()
 
     def batch(self) -> int:
-        """How many work units a loop may count locally before it must
-        settle via :meth:`tick_many`.
+        """How many work units a caller may settle before the next
+        checkpoint: the distance to it, clamped near a row budget.
 
-        This is the distance to the next scheduled checkpoint, so hot loops
-        replace a method call per work unit with a local increment and
-        comparison — the batch is clamped near a row budget, keeping trips
-        prompt (within one in-flight batch per ticking operator)."""
+        Settling in steps of at most this many units (see
+        :meth:`repro.engine.physical._Context.settle`) makes every
+        checkpoint land exactly on schedule, so a row budget trips at
+        exactly ``max_rows + 1`` units."""
         return max(1, self._next_check - self.ticks)
 
     def tick_many(self, units: int) -> None:

@@ -1,4 +1,4 @@
-"""Physical (executable) operators — the iterator-model engine.
+"""Physical (executable) operators — the batch-at-a-time engine.
 
 The paper's prototype translates algebraic forms into "physical plans that
 are evaluated in memory" (Section 6).  This module provides those physical
@@ -11,53 +11,40 @@ algorithms:
 * hash-based grouping for the nest operator (single pass);
 * streaming reduce with quantifier short-circuiting.
 
-Each operator exposes ``rows()`` (an iterator of environments) and counts
-the tuples it produces, so executions can be compared by work performed as
-well as by wall-clock time.
+Operators exchange columnar :class:`~repro.engine.batch.Chunk` blocks
+through one protocol, ``batches()``; the roots (:class:`PReduce`,
+:class:`PEval`) fold that stream into the query's value.  Every select
+predicate, map head, join key, unnest path and reduce accumulator runs as
+a batch kernel (:class:`~repro.engine.compile.CompiledKernel`): one call
+evaluates the term over a whole chunk.  With expression compilation on
+(the default) the kernels are generated loops over hoisted column locals;
+with ``compiled_exprs=False`` they are loops over the calculus
+interpreter, so the interpreted tier runs through the very same operators.
+Kernels *truncate* instead of raising — a failure at row *t* surfaces only
+after the preceding rows have been delivered, so a short-circuiting
+consumer (an ``exists`` satisfied early) never observes an error of a row
+it did not need.
 
-**Batch execution** (``PlannerOptions.batched_exec``, default on): operators
-additionally expose ``batches()``, a stream of columnar
-:class:`~repro.engine.batch.Chunk` blocks.  Scan, select, map, unnest, the
-hash-join probe, hash-nest, and reduce have native batch paths driven by
-tier-3 kernels (:meth:`~repro.engine.compile.ExprCompiler.compile_kernel`):
-one native call evaluates a predicate/projection/join key over a whole
-chunk.  Everything else adapts its ``rows()`` through
-:func:`~repro.engine.batch.chunk_rows`, so the two protocols compose
-freely.  A plan is driven through exactly one protocol per consumer edge —
-``PReduce.value()`` pulls ``batches()`` when the context is batched, else
-``rows()``.
+Governance does not change which operators run.  Loops settle their work
+units (rows scanned, unnest elements, join pairs considered) once per
+chunk through :meth:`_Context.settle`, in steps of at most
+:meth:`~repro.engine.governor.Governor.batch` units, so a row budget trips
+at exactly ``max_rows + 1`` units on every plan shape.  Under a memory
+budget the blocking builds (hash-join build side, nested-loop inner,
+hash-nest collection groups) charge a byte estimate from their input
+chunks, one sampled row per :data:`~repro.engine.governor.SAMPLE_STRIDE`.
 
-The row-at-a-time path is kept byte-for-byte intact (not emulated over
-batches): it is the oracle the differential fuzzer cross-checks batch
-execution against on every iteration, via the ``pipeline-row-exec`` and
-``pipeline-batched-exec`` paths in :mod:`repro.testing.oracle`.  Error
-semantics match exactly because kernels *truncate* instead of raising —
-a failure at row *t* surfaces only after the preceding rows have been
-delivered, so a short-circuiting consumer (``exists`` satisfied early)
-never observes an error the row path would not have reached.  Work-unit
-accounting charges the same units (rows scanned, unnest elements, join
-pairs considered) through the same ``tick_many`` machinery, settling once
-per chunk; blocking operators keep their row-mode builds whenever a
-memory budget is active so byte-charging stays stride-for-stride
-identical.
-
-Expression evaluation is pluggable: by default every select predicate, map
-head, join key, unnest path, and reduce accumulator is **compiled** to a
-native Python closure (:mod:`repro.engine.compile`) when the operator is
-built, so the per-row cost is a cascade of direct calls instead of an AST
-walk.  With ``compiled_exprs=False`` the operators evaluate the same terms
-through the calculus interpreter — the historical behaviour, kept as the
-differential baseline.  Blocking operators (hash join build side,
-nested-loop inner, hash-nest grouping) memoize their build work on the
-first ``rows()`` entry, so re-entering a restartable stream does not
-redo it.
+Each operator counts the rows and chunks it produces, so executions can be
+compared by work performed as well as by wall-clock time (EXPLAIN
+ANALYZE).  Blocking operators memoize their build on the first
+``batches()`` entry, so re-entering a restartable stream does not redo it.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import compress
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
 from repro.calculus.monoids import CollectionMonoid, Monoid
@@ -68,30 +55,48 @@ from repro.data.values import (
     identity_key,
     is_null,
 )
-from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk, chunk_rows
-from repro.engine.compile import CompiledExpr, CompiledKernel, ExprCompiler
+from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk
+from repro.engine.compile import (
+    CompiledExpr,
+    CompiledKernel,
+    ExprCompiler,
+    _loop_kernel,
+)
 from repro.engine.governor import SAMPLE_STRIDE, estimate_bytes
 
 Env = dict[str, Any]
 
-#: Batch threshold for ungoverned loops: a local counter compared against
-#: this never settles, so the hot path pays one increment and one compare.
-_NO_BATCH = 2**63
-
-#: ``n & _STRIDE_MASK == 0`` selects one row per SAMPLE_STRIDE (a power of
-#: two) — a bitwise test, cheaper than modulo in the buffering loops.
+#: ``-done & _STRIDE_MASK`` is the offset of the next sampled row after
+#: *done* buffered rows (SAMPLE_STRIDE is a power of two).
 _STRIDE_MASK = SAMPLE_STRIDE - 1
 assert SAMPLE_STRIDE & _STRIDE_MASK == 0, "SAMPLE_STRIDE must be a power of two"
 
 
+def _charge_sampled(
+    charge: Callable[[int], None], row_at: Callable[[int], Any], n: int, done: int
+) -> int:
+    """Charge *n* newly buffered rows, after *done* earlier ones.
+
+    Sampled across the whole build: the row at every global position that
+    is a multiple of SAMPLE_STRIDE is estimated and stands for its whole
+    stride (rows in a buffer share a shape).  Returns the new row count.
+    """
+    sampled = sum(
+        estimate_bytes(row_at(i))
+        for i in range(-done & _STRIDE_MASK, n, SAMPLE_STRIDE)
+    )
+    if sampled:
+        charge(sampled * SAMPLE_STRIDE)
+    return done + n
+
+
 class PhysicalOperator:
-    """Base class: a restartable stream of environments."""
+    """Base class: a restartable stream of columnar chunks."""
 
     def __init__(self) -> None:
         self.rows_produced = 0
-        #: Batch accounting: chunks this operator emitted and the rows they
-        #: carried.  Adapter-driven operators count here too, so EXPLAIN
-        #: ANALYZE shows how every operator's output was chunked.
+        #: Chunks this operator emitted and the rows they carried, so
+        #: EXPLAIN ANALYZE shows how every operator's output was chunked.
         self.batches_produced = 0
         self.batch_rows = 0
         #: Wall time spent evaluating this operator's expressions, in ms.
@@ -100,26 +105,12 @@ class PhysicalOperator:
         self.eval_ms = 0.0
         self._exprs: list[CompiledExpr] = []
 
-    def rows(self) -> Iterator[Env]:
+    def batches(self) -> Iterator[Chunk]:
+        """The operator's output, as a stream of non-empty chunks."""
         raise NotImplementedError
 
-    def batches(self) -> Iterator[Chunk]:
-        """Batch-at-a-time stream; default adapts ``rows()``.
-
-        Operators without a native batch path (seeds, index scans, merge
-        and nested-loop joins) stay row-driven internally and still compose
-        with batch-native parents through this adapter.  ``rows()`` already
-        counts ``rows_produced``, so only the batch counters move here.
-        """
-        context = getattr(self, "_context", None)
-        size = context.batch_size if context is not None else DEFAULT_BATCH_SIZE
-        for chunk in chunk_rows(self.rows(), size):
-            self.batches_produced += 1
-            self.batch_rows += chunk.length
-            yield chunk
-
     def _emit_chunk(self, chunk: Chunk) -> Chunk:
-        """Account a natively produced chunk (``rows()`` was bypassed)."""
+        """Account a produced chunk."""
         self.rows_produced += chunk.length
         self.batches_produced += 1
         self.batch_rows += chunk.length
@@ -128,7 +119,7 @@ class PhysicalOperator:
     def _run_kernel(
         self, kernel: CompiledKernel, columns: Mapping[str, list], n: int
     ) -> tuple[list, int, Any]:
-        """Invoke a tier-3 kernel, timing it when the context profiles."""
+        """Invoke a batch kernel, timing it when the context profiles."""
         if not self._context.profile:  # type: ignore[attr-defined]
             return kernel.fn(columns, n)
         start = time.perf_counter()
@@ -162,7 +153,7 @@ class PhysicalOperator:
     def eval_mode(self) -> str:
         """How this operator's expressions execute.
 
-        ``"compiled"`` — every AST node lowered to a native closure;
+        ``"compiled"`` — every AST node lowered to native code;
         ``"mixed"`` — some subtrees fell back to the interpreter;
         ``"interpreted"`` — everything runs through the interpreter
         (``compiled_exprs=False``); ``""`` — the operator evaluates no
@@ -178,9 +169,10 @@ class PhysicalOperator:
             return "interpreted"
         return "mixed"
 
-    def _bind(self, context: "_Context", compiled: CompiledExpr):
-        """Register a compiled expression; wrap it with a timer when the
-        context profiles evaluation (EXPLAIN ANALYZE)."""
+    def _expr(self, context: "_Context", term: Term):
+        """A per-row evaluator for a term evaluated once per execution (an
+        index key, an Eval root); timed when the context profiles."""
+        compiled = context.expr(term)
         self._exprs.append(compiled)
         fn = compiled.fn
         if not context.profile:
@@ -196,11 +188,14 @@ class PhysicalOperator:
 
         return timed
 
-    def _expr(self, context: "_Context", term: Term):
-        return self._bind(context, context.expr(term))
+    def _register(self, context: "_Context", *terms: Term) -> None:
+        """Record how value *terms* evaluate, for :meth:`eval_mode`.  Their
+        batch kernels are built when the operator first runs."""
+        self._exprs.extend(context.expr(term) for term in terms)
 
-    def _pred(self, context: "_Context", term: Term):
-        return self._bind(context, context.pred(term))
+    def _register_pred(self, context: "_Context", term: Term) -> None:
+        """As :meth:`_register`, for a strict-boolean predicate."""
+        self._exprs.append(context.pred(term))
 
 
 class _Context:
@@ -217,7 +212,6 @@ class _Context:
         profile: bool = False,
         compiler: ExprCompiler | None = None,
         governor: Any | None = None,
-        batched_exec: bool = False,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         self.database = database
@@ -231,21 +225,21 @@ class _Context:
             self._compiler.activate(self._terms, database)
         else:
             self._compiler = None
-        #: Batch execution needs tier-3 kernels, which only exist when the
-        #: expression compiler is on — interpreted runs stay pure row mode.
-        self.batched = bool(batched_exec) and self._compiler is not None
 
-    def batch(self) -> int:
-        """The initial work-unit batch for a ``rows()`` loop.
+    def settle(self, units: int) -> None:
+        """Settle *units* work units with the governor (a no-op ungoverned).
 
-        Governed loops count work units in a local integer and settle every
-        *batch* units via ``governor.tick_many`` (see
-        :meth:`repro.engine.governor.Governor.batch`); ungoverned loops get
-        :data:`_NO_BATCH`, a threshold the counter never reaches, so both
-        paths pay only a local increment and comparison per unit.
+        The units go in steps of at most :meth:`Governor.batch`, the
+        distance to the next checkpoint, so a row budget trips at exactly
+        ``max_rows + 1`` units however many units one chunk carries.
         """
         governor = self.governor
-        return governor.batch() if governor is not None else _NO_BATCH
+        if governor is None:
+            return
+        while units > 0:
+            step = min(units, governor.batch())
+            governor.tick_many(step)
+            units -= step
 
     def charge_fn(self):
         """The governor's byte-accounting hook for blocking operators, or
@@ -255,30 +249,6 @@ class _Context:
         if governor is None or governor.max_bytes is None:
             return None
         return governor.charge
-
-    def kernel(self, term: Term) -> CompiledKernel | None:
-        """The tier-3 batch kernel for *term*, or None when this execution
-        is not batched (operators then fall back to the rows() adapter)."""
-        if not self.batched:
-            return None
-        return self._compiler.compile_kernel(term)
-
-    def pred_kernel(self, term: Term) -> CompiledKernel | None:
-        """The strict-boolean batch kernel for *term*, or None (as above)."""
-        if not self.batched:
-            return None
-        return self._compiler.compile_predicate_kernel(term)
-
-    def value(self, term: Term, env: Env) -> Any:
-        return self._terms.evaluate(term, env)
-
-    def holds(self, pred: Term, env: Env) -> bool:
-        result = self.value(pred, env)
-        if result is True:
-            return True
-        if result is False or is_null(result):
-            return False
-        raise EvaluationError("predicate did not evaluate to a boolean")
 
     def expr(self, term: Term) -> CompiledExpr:
         """A value-producing evaluator for *term* (compiled when enabled)."""
@@ -307,6 +277,20 @@ class _Context:
 
         return CompiledExpr(run, term, 0, 1)
 
+    def kernel(self, term: Term) -> CompiledKernel:
+        """The batch kernel for *term*: tier-3 codegen when compiling, else
+        a loop over the interpreter."""
+        if self._compiler is not None:
+            return self._compiler.compile_kernel(term)
+        return CompiledKernel(_loop_kernel(self.expr(term).fn), term)
+
+    def pred_kernel(self, term: Term) -> CompiledKernel:
+        """The strict-boolean batch kernel for *term* (as above)."""
+        if self._compiler is not None:
+            return self._compiler.compile_predicate_kernel(term)
+        trivial = isinstance(term, Const) and term.value is True
+        return CompiledKernel(_loop_kernel(self.pred(term).fn), term, trivial)
+
 
 class PScan(PhysicalOperator):
     """Sequential scan of a class extent."""
@@ -317,43 +301,26 @@ class PScan(PhysicalOperator):
         self.extent = extent
         self.var = var
 
-    def rows(self) -> Iterator[Env]:
-        var = self.var
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        for obj in self._context.database.extent(self.extent):
-            self.rows_produced += 1
-            units += 1
-            if units >= batch:
-                governor.tick_many(units)
-                units = 0
-                batch = governor.batch()
-            yield {var: obj}
-        if governor is not None:
-            governor.tick_many(units)
+    def _objects(self) -> list:
+        return list(self._context.database.extent(self.extent))
 
     def batches(self) -> Iterator[Chunk]:
-        # Native path: slice the extent directly into column lists — no
-        # per-row dict, no generator hop.  Unit accounting settles once per
-        # chunk via tick_many, charging exactly one unit per row like the
-        # row loop above.
+        # Slice the objects directly into column lists, one work unit per
+        # row, settled once per chunk.
         context = self._context
         var = self.var
         size = context.batch_size
-        governor = context.governor
-        items = list(context.database.extent(self.extent))
+        items = self._objects()
         for start in range(0, len(items), size):
             col = items[start : start + size]
-            if governor is not None:
-                governor.tick_many(len(col))
+            context.settle(len(col))
             yield self._emit_chunk(Chunk({var: col}, len(col)))
 
     def describe(self) -> str:
         return f"Scan({self.var} <- {self.extent})"
 
 
-class PIndexScan(PhysicalOperator):
+class PIndexScan(PScan):
     """Index access path: fetch only the objects whose indexed attribute
     equals a constant key ("choosing access paths", paper Section 6).
 
@@ -364,47 +331,30 @@ class PIndexScan(PhysicalOperator):
     def __init__(
         self, context: _Context, extent: str, var: str, attr: str, key: Term
     ):
-        super().__init__()
-        self._context = context
-        self.extent = extent
-        self.var = var
+        super().__init__(context, extent, var)
         self.attr = attr
         self.key = key
         self._key = self._expr(context, key)
 
-    def rows(self) -> Iterator[Env]:
+    def _objects(self) -> list:
         value = self._key({})
         if is_null(value):
             # attr = NULL is NULL, which a filter treats as false — but the
             # index stores NULL-attributed objects under the NULL key, so a
             # raw lookup would wrongly return them.
-            return
+            return []
         database = self._context.database
-        var = self.var
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        for obj in database.index_lookup(self.extent, self.attr, value):
-            self.rows_produced += 1
-            units += 1
-            if units >= batch:
-                governor.tick_many(units)
-                units = 0
-                batch = governor.batch()
-            yield {var: obj}
-        if governor is not None:
-            governor.tick_many(units)
+        return list(database.index_lookup(self.extent, self.attr, value))
 
     def describe(self) -> str:
         return f"IndexScan({self.var} <- {self.extent} on {self.attr} = {self.key})"
 
 
 class PSeed(PhysicalOperator):
-    """The singleton empty-environment stream."""
+    """The singleton empty-environment stream: one row, no columns."""
 
-    def rows(self) -> Iterator[Env]:
-        self.rows_produced += 1
-        yield {}
+    def batches(self) -> Iterator[Chunk]:
+        yield self._emit_chunk(Chunk({}, 1))
 
 
 class PSelect(PhysicalOperator):
@@ -415,23 +365,13 @@ class PSelect(PhysicalOperator):
         self._context = context
         self.child = child
         self.pred = pred
-        self._holds = self._pred(context, pred)
+        self._register_pred(context, pred)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:
-        holds = self._holds
-        for env in self.child.rows():
-            if holds(env):
-                self.rows_produced += 1
-                yield env
-
     def batches(self) -> Iterator[Chunk]:
         kernel = self._context.pred_kernel(self.pred)
-        if kernel is None:
-            yield from PhysicalOperator.batches(self)
-            return
         if kernel.trivial_true:
             for chunk in self.child.batches():
                 yield self._emit_chunk(chunk)
@@ -471,27 +411,13 @@ class PMap(PhysicalOperator):
         self._context = context
         self.child = child
         self.bindings = bindings
-        self._compiled_bindings = tuple(
-            (name, self._expr(context, expr)) for name, expr in bindings
-        )
+        self._register(context, *(expr for _, expr in bindings))
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:
-        bindings = self._compiled_bindings
-        for env in self.child.rows():
-            extended = dict(env)
-            for name, fn in bindings:
-                extended[name] = fn(extended)
-            self.rows_produced += 1
-            yield extended
-
     def batches(self) -> Iterator[Chunk]:
         context = self._context
-        if not context.batched:
-            yield from PhysicalOperator.batches(self)
-            return
         kernels = tuple(
             (name, context.kernel(expr)) for name, expr in self.bindings
         )
@@ -501,9 +427,9 @@ class PMap(PhysicalOperator):
             err = None
             for name, kernel in kernels:
                 # Later bindings see earlier ones: each kernel runs over the
-                # progressively extended column set, like the row loop's
-                # ``extended`` dict.  An error truncates the chunk to the
-                # rows that evaluated fully; the error replays after them.
+                # progressively extended column set.  An error truncates
+                # the chunk to the rows that evaluated fully; the error
+                # replays after them.
                 values, t, e = self._run_kernel(kernel, columns, n)
                 if t < n:
                     n = t
@@ -523,9 +449,9 @@ class PMap(PhysicalOperator):
 class PNestedLoopJoin(PhysicalOperator):
     """Block nested-loop (outer-)join: the fallback join algorithm.
 
-    The inner (right) input is materialized once per execution — not once
-    per ``rows()`` entry — so a re-entered stream does not re-run the
-    build side.
+    The inner (right) input is materialized as columns once per execution —
+    not once per ``batches()`` entry — so a re-entered stream does not
+    re-run the build side.
     """
 
     def __init__(
@@ -544,85 +470,37 @@ class PNestedLoopJoin(PhysicalOperator):
         self.pred = pred
         self.right_columns = right_columns
         self.outer = outer
-        self._holds = self._pred(context, pred)
-        self._right_rows: list[Env] | None = None
+        self._register_pred(context, pred)
+        self._right: tuple[dict[str, list], int] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
 
-    def _materialize_right(self) -> list[Env]:
-        if self._right_rows is None:
+    def _materialize_right(self) -> tuple[dict[str, list], int]:
+        if self._right is None:
             charge = self._context.charge_fn()
-            if charge is None:
-                self._right_rows = list(self.right.rows())
-            else:
-                materialized = []
-                for nb, env in enumerate(self.right.rows()):
-                    if not nb & _STRIDE_MASK:
-                        # One row stands for its whole stride: rows in a
-                        # buffer share a shape, and charging the stride up
-                        # front keeps the estimator off the per-row path.
-                        charge(estimate_bytes(env) * SAMPLE_STRIDE)
-                    materialized.append(env)
-                self._right_rows = materialized
-        return self._right_rows
-
-    def rows(self) -> Iterator[Env]:
-        right_rows = self._materialize_right()
-        holds = self._holds
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        padding = {col: NULL for col in self.right_columns}
-        for left_env in self.left.rows():
-            matched = False
-            for right_env in right_rows:
-                # Every pair considered is a work unit: a cross-join blowup
-                # is charged here even when it emits almost nothing.
-                units += 1
-                if units >= batch:
-                    governor.tick_many(units)
-                    units = 0
-                    batch = governor.batch()
-                env = {**left_env, **right_env}
-                if holds(env):
-                    matched = True
-                    self.rows_produced += 1
-                    yield env
-            if self.outer and not matched:
-                self.rows_produced += 1
-                yield {**left_env, **padding}
-        if governor is not None:
-            governor.tick_many(units)
+            columns: dict[str, list] = {col: [] for col in self.right_columns}
+            m = 0
+            for chunk in self.right.batches():
+                if charge is not None:
+                    _charge_sampled(charge, chunk.env_at, chunk.length, m)
+                for col, values in columns.items():
+                    values.extend(chunk.columns[col])
+                m += chunk.length
+            self._right = (columns, m)
+        return self._right
 
     def batches(self) -> Iterator[Chunk]:
-        """Vectorized probe: the materialized right side is columnized once
-        and each left row is broadcast across it, so the predicate runs as
-        one kernel call over all ``m`` right rows instead of ``m`` per-pair
-        closure calls over ``m`` freshly merged env dicts.  Only the left
-        columns the predicate actually reads are broadcast.  Work units,
-        outer padding, and fault truncation mirror ``rows()``: one unit per
-        pair reached (the faulting pair included), matches preceding a
-        fault are emitted, and the faulting left row gets no outer pad."""
+        """Vectorized probe: each left row is broadcast across the
+        columnized right side, so the predicate runs as one kernel call
+        over all ``m`` right rows.  Only the left columns the predicate
+        actually reads are broadcast.  One work unit per pair reached (the
+        faulting pair included); matches preceding a fault are emitted,
+        and the faulting left row gets no outer pad."""
         context = self._context
         pred_kernel = context.pred_kernel(self.pred)
-        governor = context.governor
-        if pred_kernel is None or (
-            governor is not None and governor.max_rows is not None
-        ):
-            # Row budgets trip at exactly one unit over (the governor's
-            # contract, pinned by its tests); chunked inputs settle whole
-            # chunks at a time and would overshoot.  Under a row budget the
-            # join stays row-driven, like the hash operators' row-mode
-            # builds under a memory budget.
-            yield from PhysicalOperator.batches(self)
-            return
-        right_rows = self._materialize_right()
-        m = len(right_rows)
-        right_cols = {
-            col: [env[col] for env in right_rows]
-            for col in self.right_columns
-        }
+        settle = context.settle
+        right_cols, m = self._materialize_right()
         right_items = list(right_cols.items())
         needed = free_vars(self.pred)
         outer = self.outer
@@ -649,10 +527,8 @@ class PNestedLoopJoin(PhysicalOperator):
                         flags, t, err = None, m, None
                     else:
                         flags, t, err = self._run_kernel(pred_kernel, probe, m)
-                    if governor is not None:
-                        # Row parity: the unit precedes the predicate call,
-                        # so a faulting pair was still charged.
-                        governor.tick_many(t + 1 if err is not None else m)
+                    # A faulting pair was still reached, so it counts.
+                    settle(t + 1 if err is not None else m)
                     count = m if flags is None else flags.count(True)
                     if count:
                         if count == m:
@@ -696,9 +572,9 @@ class PNestedLoopJoin(PhysicalOperator):
 class PHashJoin(PhysicalOperator):
     """Hash (outer-)join on extracted equi-keys, with a residual predicate.
 
-    The build-side hash table is constructed on the first ``rows()`` entry
-    and reused by re-entries (e.g. when this join is the inner of a nested
-    loop), so the build input's rows are produced exactly once per
+    The build-side hash table is constructed on the first ``batches()``
+    entry and reused by re-entries (e.g. when this join is the inner of a
+    nested loop), so the build input's rows are produced exactly once per
     execution.
     """
 
@@ -722,58 +598,25 @@ class PHashJoin(PhysicalOperator):
         self.residual = residual
         self.right_columns = right_columns
         self.outer = outer
-        self._left_key_fns = tuple(self._expr(context, k) for k in left_keys)
-        self._right_key_fns = tuple(self._expr(context, k) for k in right_keys)
-        self._holds = self._pred(context, residual)
-        self._table: dict[tuple[Any, ...], list[Env]] | None = None
-        #: Batch-mode build table: buckets of right-row tuples aligned to
-        #: ``right_columns`` (no per-row dicts).  Built on first batches()
-        #: entry, memoized like ``_table``.
-        self._tuple_table: dict[Any, list[tuple]] | None = None
+        self._register(context, *left_keys, *right_keys)
+        self._register_pred(context, residual)
+        #: The build table: buckets of right-row tuples aligned to
+        #: ``right_columns`` (no per-row dicts), memoized per execution.
+        self._table: dict[Any, list[tuple]] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
 
-    def _build_table(self) -> dict[Any, list[Env]]:
+    def _build_table(self) -> dict[Any, list[tuple]]:
         # Keys are wrapped with identity_key so that `=` on stored objects
         # matches hash-probe semantics to apply_binop's identity equality.
         # Single-key joins (the common case) use the bare key — no tuple
-        # allocation per row; probes below agree on the representation.
-        table: dict[Any, list[Env]] = {}
-        key_fns = self._right_key_fns
-        charge = self._context.charge_fn()
-        if len(key_fns) == 1 and charge is None:
-            (key_fn,) = key_fns
-            for right_env in self.right.rows():
-                key = identity_key(key_fn(right_env))
-                table.setdefault(key, []).append(right_env)
-            return table
-        single = key_fns[0] if len(key_fns) == 1 else None
-        for nb, right_env in enumerate(self.right.rows()):
-            if single is not None:
-                key = identity_key(single(right_env))
-            else:
-                key = tuple(identity_key(fn(right_env)) for fn in key_fns)
-            if charge is not None and not nb & _STRIDE_MASK:
-                # Sampled: one row charges for its whole stride.
-                charge(estimate_bytes(right_env) * SAMPLE_STRIDE)
-            table.setdefault(key, []).append(right_env)
-        return table
-
-    def _build_tuple_table(self) -> dict[Any, list[tuple]]:
+        # allocation per row; the probe agrees on the representation.
         context = self._context
-        right_columns = self.right_columns
-        if context.charge_fn() is not None:
-            # Memory-budgeted builds go through the row-mode build so the
-            # stride-sampled byte charging is identical to the row path,
-            # then convert the buckets to column-aligned tuples.
-            if self._table is None:
-                self._table = self._build_table()
-            return {
-                key: [tuple(env[col] for col in right_columns) for env in envs]
-                for key, envs in self._table.items()
-            }
         key_kernels = tuple(context.kernel(k) for k in self.right_keys)
+        right_columns = self.right_columns
+        charge = context.charge_fn()
+        built = 0
         table: dict[Any, list[tuple]] = {}
         for chunk in self.right.batches():
             cols = chunk.columns
@@ -789,6 +632,8 @@ class PHashJoin(PhysicalOperator):
                 key_parts.append(values)
             col_lists = [cols[col][:n] for col in right_columns]
             row_tuples = list(zip(*col_lists)) if col_lists else [()] * n
+            if charge is not None:
+                built = _charge_sampled(charge, row_tuples.__getitem__, n, built)
             setdefault = table.setdefault
             if len(key_parts) == 1:
                 (keys,) = key_parts
@@ -799,24 +644,20 @@ class PHashJoin(PhysicalOperator):
                     key = tuple(identity_key(part[i]) for part in key_parts)
                     setdefault(key, []).append(row)
             if err is not None:
-                # A key-expression fault fails the build exactly as the
-                # row-mode build would at that right row.
+                # A key-expression fault fails the build at that right row.
                 raise err
         return table
 
     def batches(self) -> Iterator[Chunk]:
         context = self._context
-        if not context.batched:
-            yield from PhysicalOperator.batches(self)
-            return
         left_kernels = tuple(context.kernel(k) for k in self.left_keys)
         residual_kernel = context.pred_kernel(self.residual)
-        if self._tuple_table is None:
-            self._tuple_table = self._build_tuple_table()
-        table = self._tuple_table
+        if self._table is None:
+            self._table = self._build_table()
+        table = self._table
         right_columns = self.right_columns
         outer = self.outer
-        governor = context.governor
+        settle = context.settle
         trivial = residual_kernel.trivial_true
         for chunk in self.left.batches():
             cols = chunk.columns
@@ -861,8 +702,7 @@ class PHashJoin(PhysicalOperator):
                     elif pad is not None:
                         out_rows.append(pad)
                         parent_idx.append(i)
-                if governor is not None:
-                    governor.tick_many(pairs)
+                settle(pairs)
                 if parent_idx:
                     out_cols = {
                         name: [col[i] for i in parent_idx]
@@ -910,10 +750,8 @@ class PHashJoin(PhysicalOperator):
                 )
             else:
                 flags, passed, perr = None, total, None
-            if governor is not None:
-                # Row parity: one unit per pair considered; on a residual
-                # fault the row path ticked the failing pair too.
-                governor.tick_many(passed + 1 if perr is not None else total)
+            # One unit per pair considered; a faulting pair was reached too.
+            settle(passed + 1 if perr is not None else total)
             bad_parent = parent_of[passed] if perr is not None else None
             pending = perr if perr is not None else kerr
             out_cols: dict[str, list] = {name: [] for name in cols}
@@ -958,47 +796,6 @@ class PHashJoin(PhysicalOperator):
             if pending is not None:
                 raise pending
 
-    def rows(self) -> Iterator[Env]:
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        if self._table is None:
-            self._table = self._build_table()
-        table = self._table
-        key_fns = self._left_key_fns
-        holds = self._holds
-        padding = {col: NULL for col in self.right_columns}
-        single = len(key_fns) == 1
-        if single:
-            (key_fn,) = key_fns
-        for left_env in self.left.rows():
-            if single:
-                value = key_fn(left_env)
-                null_key = value is NULL
-                key = identity_key(value)
-            else:
-                values = tuple(fn(left_env) for fn in key_fns)
-                null_key = any(part is NULL for part in values)
-                key = tuple(identity_key(v) for v in values)
-            matched = False
-            if not null_key:
-                for right_env in table.get(key, ()):
-                    units += 1
-                    if units >= batch:
-                        governor.tick_many(units)
-                        units = 0
-                        batch = governor.batch()
-                    env = {**left_env, **right_env}
-                    if holds(env):
-                        matched = True
-                        self.rows_produced += 1
-                        yield env
-            if self.outer and not matched:
-                self.rows_produced += 1
-                yield {**left_env, **padding}
-        if governor is not None:
-            governor.tick_many(units)
-
     def describe(self) -> str:
         kind = "HashOuterJoin" if self.outer else "HashJoin"
         keys = ", ".join(
@@ -1028,54 +825,18 @@ class PUnnest(PhysicalOperator):
         self.var = var
         self.pred = pred
         self.outer = outer
-        self._path_fn = self._expr(context, path)
-        self._holds = self._pred(context, pred)
+        self._register(context, path)
+        self._register_pred(context, pred)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:
-        path_fn = self._path_fn
-        holds = self._holds
-        var = self.var
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        for env in self.child.rows():
-            value = path_fn(env)
-            matched = False
-            if not is_null(value):
-                if not isinstance(value, CollectionValue):
-                    raise EvaluationError(
-                        f"unnest path evaluated to {type(value).__name__}"
-                    )
-                for element in value.elements():
-                    units += 1
-                    if units >= batch:
-                        governor.tick_many(units)
-                        units = 0
-                        batch = governor.batch()
-                    extended = {**env, var: element}
-                    if holds(extended):
-                        matched = True
-                        self.rows_produced += 1
-                        yield extended
-            if self.outer and not matched:
-                self.rows_produced += 1
-                yield {**env, var: NULL}
-        if governor is not None:
-            governor.tick_many(units)
-
     def batches(self) -> Iterator[Chunk]:
-        context = self._context
-        path_kernel = context.kernel(self.path)
-        if path_kernel is None:
-            yield from PhysicalOperator.batches(self)
-            return
-        pred_kernel = context.pred_kernel(self.pred)
+        path_kernel = self._context.kernel(self.path)
+        pred_kernel = self._context.pred_kernel(self.pred)
         var = self.var
         outer = self.outer
-        governor = context.governor
+        settle = self._context.settle
         trivial = pred_kernel.trivial_true
         for chunk in self.child.batches():
             cols = chunk.columns
@@ -1107,8 +868,7 @@ class PUnnest(PhysicalOperator):
                     elif outer:
                         parent_idx.append(i)
                         out_elements.append(NULL)
-                if governor is not None:
-                    governor.tick_many(total)
+                settle(total)
                 if parent_idx:
                     out_cols = {
                         name: [col[i] for i in parent_idx]
@@ -1139,7 +899,7 @@ class PUnnest(PhysicalOperator):
                 elements.extend(elems)
                 parent_of.extend([i] * len(elems))
             total = len(elements)
-            if total and not pred_kernel.trivial_true:
+            if total:
                 ccols = {
                     name: [col[i] for i in parent_of]
                     for name, col in cols.items()
@@ -1148,11 +908,9 @@ class PUnnest(PhysicalOperator):
                 flags, passed, perr = self._run_kernel(pred_kernel, ccols, total)
             else:
                 flags, passed, perr = None, total, None
-            if governor is not None:
-                # Row parity: one unit per element *reached*.  On a
-                # predicate fault the row path ticked the failing element
-                # too (the unit precedes the holds() call).
-                governor.tick_many(passed + 1 if perr is not None else total)
+            # One unit per element reached; on a predicate fault the
+            # failing element was reached too.
+            settle(passed + 1 if perr is not None else total)
             bad_parent = parent_of[passed] if perr is not None else None
             pending = perr if perr is not None else err
             out_cols: dict[str, list] = {name: [] for name in cols}
@@ -1163,7 +921,7 @@ class PUnnest(PhysicalOperator):
             for i in range(limit):
                 if i == bad_parent:
                     # The predicate faulted mid-parent: emit the candidates
-                    # the row path reached, no outer padding (matched is
+                    # before the fault, no outer padding (matched is
                     # undecided there), and stop.
                     for c in range(cursor, passed):
                         if flags[c]:
@@ -1200,8 +958,8 @@ class PHashNest(PhysicalOperator):
     """Hash-based grouping implementation of the nest operator.
 
     Grouping is a blocking operation: the child stream is consumed and the
-    groups accumulated on the first ``rows()`` entry, then replayed by any
-    re-entry without re-running the child.
+    groups accumulated on the first ``batches()`` entry, then replayed by
+    any re-entry without re-running the child.
     """
 
     def __init__(
@@ -1224,78 +982,36 @@ class PHashNest(PhysicalOperator):
         self.null_vars = null_vars
         self.out_var = out_var
         self.pred = pred
-        self._head_fn = self._expr(context, head)
-        self._holds = self._pred(context, pred)
+        self._register(context, head)
+        self._register_pred(context, pred)
         self._group_rows: list[tuple[Env, Any]] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def _accumulate_rows(self):
-        monoid = self.monoid
-        merge = monoid.merge
-        head_fn = self._head_fn
-        holds = self._holds
-        group_by = self.group_by
-        null_vars = self.null_vars
-        groups: dict[tuple[Any, ...], Any] = {}
-        order: list[tuple[Any, ...]] = []
-        group_envs: dict[tuple[Any, ...], Env] = {}
-        collection = isinstance(monoid, CollectionMonoid)
-        lift = monoid.lift
-        charge = self._context.charge_fn()
-        buffered = 0
-        single = group_by[0] if len(group_by) == 1 else None
-        for env in self.child.rows():
-            # Identity-aware grouping: distinct stored objects with equal
-            # state must form distinct groups (see algebra evaluator _nest).
-            if single is not None:
-                key = identity_key(env[single])
-            else:
-                key = tuple(identity_key(env[col]) for col in group_by)
-            if key not in groups:
-                # Collection groups accumulate into a plain list and build
-                # the collection once at the end (per-row immutable merges
-                # would copy the accumulator every row).
-                groups[key] = [] if collection else monoid.zero
-                order.append(key)
-                group_envs[key] = {col: env[col] for col in group_by}
-            if null_vars and any(env[col] is NULL for col in null_vars):
-                continue
-            if not holds(env):
-                continue
-            value = head_fn(env)
-            if collection:
-                if charge is not None:
-                    if not buffered & _STRIDE_MASK:
-                        # Sampled: one value charges for its whole stride.
-                        charge(estimate_bytes(value) * SAMPLE_STRIDE)
-                    buffered += 1
-                groups[key].append(value)
-            elif value is not NULL:
-                groups[key] = merge(groups[key], lift(value))
-        return order, groups, group_envs
+    def _accumulate(self):
+        """The grouping build: kernels over child chunks.
 
-    def _accumulate_batched(self, pred_kernel, head_kernel):
-        """The batch-mode grouping build: kernels over child chunks.
-
-        Mirrors :meth:`_accumulate_rows` decision for decision — group
-        creation for *every* row (before null-var/predicate filtering),
-        NULL heads skipped only for primitive monoids, stream-order
-        merging — with the head kernel run once per chunk over the
-        filter-surviving rows.  Only used when no memory budget is active
-        (the row build's stride-sampled byte charging is the parity
-        contract there).
+        Every row creates its group (before null-var/predicate filtering);
+        NULL heads are skipped only for primitive monoids; values merge in
+        stream order.  The head kernel runs once per chunk over the
+        filter-surviving rows.  Collection groups buffer their values and,
+        under a memory budget, charge them stride-sampled.
         """
         monoid = self.monoid
         merge = monoid.merge
         lift = monoid.lift
         group_by = self.group_by
         null_vars = self.null_vars
+        context = self._context
+        head_kernel = context.kernel(self.head)
+        pred_kernel = context.pred_kernel(self.pred)
         groups: dict[Any, Any] = {}
         order: list[Any] = []
         group_envs: dict[Any, Env] = {}
         collection = isinstance(monoid, CollectionMonoid)
+        charge = context.charge_fn() if collection else None
+        buffered = 0
         single = group_by[0] if len(group_by) == 1 else None
         trivial = pred_kernel.trivial_true
         for chunk in self.child.batches():
@@ -1330,6 +1046,9 @@ class PHashNest(PhysicalOperator):
                 keys = [()] * limit
             for i, key in enumerate(keys):
                 if key not in groups:
+                    # Collection groups accumulate into a plain list and
+                    # build the collection once at the end (per-row
+                    # immutable merges would copy the accumulator).
                     groups[key] = [] if collection else monoid.zero
                     order.append(key)
                     group_envs[key] = {col: cols[col][i] for col in group_by}
@@ -1368,6 +1087,10 @@ class PHashNest(PhysicalOperator):
                     # any predicate fault at ``limit``, so it wins.
                     err = herr
                     picked = picked[:t]
+                if charge is not None:
+                    buffered = _charge_sampled(
+                        charge, values.__getitem__, len(values), buffered
+                    )
                 for value, i in zip(values, picked):
                     key = keys[i]
                     if collection:
@@ -1379,21 +1102,9 @@ class PHashNest(PhysicalOperator):
         return order, groups, group_envs
 
     def _groups(self) -> list:
-        """The memoized ``(group_env, value)`` rows, in first-seen key order.
-
-        Built by the batch kernels when the head compiles and no memory
-        budget is active, otherwise by the row build (whose stride-sampled
-        byte charging is the parity contract under a budget).
-        """
+        """The memoized ``(group_env, value)`` rows, in first-seen key order."""
         if self._group_rows is None:
-            context = self._context
-            head_kernel = context.kernel(self.head)
-            if head_kernel is None or context.charge_fn() is not None:
-                order, groups, group_envs = self._accumulate_rows()
-            else:
-                order, groups, group_envs = self._accumulate_batched(
-                    context.pred_kernel(self.pred), head_kernel
-                )
+            order, groups, group_envs = self._accumulate()
             monoid = self.monoid
             if isinstance(monoid, CollectionMonoid):
                 finish = monoid.fold_elements
@@ -1404,17 +1115,7 @@ class PHashNest(PhysicalOperator):
             ]
         return self._group_rows
 
-    def rows(self) -> Iterator[Env]:
-        group_rows = self._groups()
-        out_var = self.out_var
-        for group_env, result in group_rows:
-            self.rows_produced += 1
-            yield {**group_env, out_var: result}
-
     def batches(self) -> Iterator[Chunk]:
-        if not self._context.batched:
-            yield from PhysicalOperator.batches(self)
-            return
         group_rows = self._groups()
         out_var = self.out_var
         group_by = self.group_by
@@ -1449,56 +1150,20 @@ class PReduce(PhysicalOperator):
         self.monoid = monoid
         self.head = head
         self.pred = pred
-        self._head_fn = self._expr(context, head)
-        self._holds = self._pred(context, pred)
+        self._register(context, head)
+        self._register_pred(context, pred)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:  # pragma: no cover - roots use value()
-        yield {"__result": self.value()}
-
-    def value(self) -> Any:
-        if self._context.batched:
-            head_kernel = self._context.kernel(self.head)
-            if head_kernel is not None:
-                return self._value_batched(
-                    head_kernel, self._context.pred_kernel(self.pred)
-                )
-        monoid = self.monoid
-        merge = monoid.merge
-        head_fn = self._head_fn
-        holds = self._holds
-        if isinstance(monoid, CollectionMonoid):
-            # One-pass bulk construction instead of per-row immutable
-            # merges (which copy the whole accumulator every row).
-            result = monoid.fold_elements(
-                head_fn(env) for env in self.child.rows() if holds(env)
-            )
-            return self._account(result)
-        result = monoid.zero
-        lift = monoid.lift
-        is_all = monoid.name == "all"
-        is_some = monoid.name == "some"
-        for env in self.child.rows():
-            if not holds(env):
-                continue
-            head = head_fn(env)
-            if head is NULL:
-                continue
-            result = merge(result, lift(head))
-            if is_all and result is False:
-                return self._account(False)
-            if is_some and result is True:
-                return self._account(True)
-        return self._account(monoid.finalize(result))
-
-    def _chunk_heads(self, chunk, head_kernel, pred_kernel) -> tuple[list, Any]:
+    def _chunk_heads(
+        self, chunk: Chunk, head_kernel: CompiledKernel, pred_kernel: CompiledKernel
+    ) -> tuple[list, Any]:
         """Heads of the chunk's predicate-surviving rows, plus any fault.
 
         The returned values cover exactly the rows that precede the first
         fault in row order; a head fault wins over a later predicate fault
-        because the row path evaluates pred-then-head row by row.
+        because rows are decided pred-then-head in order.
         """
         cols = chunk.columns
         n = chunk.length
@@ -1525,12 +1190,18 @@ class PReduce(PhysicalOperator):
             err = herr
         return values, err
 
-    def _value_batched(self, head_kernel, pred_kernel) -> Any:
+    def value(self) -> Any:
         monoid = self.monoid
+        kernels = (
+            self._context.kernel(self.head),
+            self._context.pred_kernel(self.pred),
+        )
         if isinstance(monoid, CollectionMonoid):
+            # One-pass bulk construction instead of per-row immutable
+            # merges (which copy the whole accumulator every row).
             elements: list = []
             for chunk in self.child.batches():
-                values, err = self._chunk_heads(chunk, head_kernel, pred_kernel)
+                values, err = self._chunk_heads(chunk, *kernels)
                 elements.extend(values)
                 if err is not None:
                     raise err
@@ -1541,13 +1212,13 @@ class PReduce(PhysicalOperator):
         is_all = monoid.name == "all"
         is_some = monoid.name == "some"
         for chunk in self.child.batches():
-            values, err = self._chunk_heads(chunk, head_kernel, pred_kernel)
+            values, err = self._chunk_heads(chunk, *kernels)
             for head in values:
                 if head is NULL:
                     continue
                 result = merge(result, lift(head))
-                # Short-circuit *before* raising: the row path would have
-                # stopped pulling at this row and never seen the fault.
+                # Short-circuit *before* raising: the deciding row precedes
+                # the fault, which is then never observed.
                 if is_all and result is False:
                     return self._account(False)
                 if is_some and result is True:
@@ -1581,16 +1252,14 @@ class PEval(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:  # pragma: no cover - roots use value()
-        yield {"__result": self.value()}
-
     def value(self) -> Any:
-        envs = list(self.child.rows())
-        if len(envs) != 1:
+        chunks = list(self.child.batches())
+        count = sum(chunk.length for chunk in chunks)
+        if count != 1:
             raise EvaluationError(
-                f"Eval root expected exactly one row, got {len(envs)}"
+                f"Eval root expected exactly one row, got {count}"
             )
-        result = self._expr_fn(envs[0])
+        result = self._expr_fn(chunks[0].env_at(0))
         self.rows_produced = (
             len(result) if isinstance(result, CollectionValue) else 1
         )

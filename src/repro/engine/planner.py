@@ -67,11 +67,7 @@ class PlannerOptions:
     #: Lower expression trees to native Python closures (repro.engine.compile)
     #: instead of interpreting the AST per row.
     compiled_exprs: bool = True
-    #: Pass columnar chunks between operators and evaluate expressions with
-    #: tier-3 batch kernels.  Requires ``compiled_exprs``; interpreted runs
-    #: silently stay on the row path.
-    batched_exec: bool = True
-    #: Rows per chunk on the batch path.
+    #: Rows per columnar chunk passed between operators.
     batch_size: int = DEFAULT_BATCH_SIZE
 
 
@@ -103,7 +99,6 @@ def plan_physical(
         profile=profile,
         compiler=compiler,
         governor=governor,
-        batched_exec=options.batched_exec,
         batch_size=options.batch_size,
     )
     return _build(plan, context, options)

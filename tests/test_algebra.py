@@ -42,7 +42,7 @@ def db() -> Database:
     return database
 
 
-def rows(plan, db):
+def stream_rows(plan, db):
     return list(PlanEvaluator(db).stream(plan))
 
 
@@ -79,20 +79,20 @@ class TestConstruction:
 
 class TestStreams:
     def test_seed(self, db):
-        assert rows(Seed(), db) == [{}]
+        assert stream_rows(Seed(), db) == [{}]
 
     def test_scan(self, db):
-        envs = rows(Scan("Dept", "d"), db)
+        envs = stream_rows(Scan("Dept", "d"), db)
         assert len(envs) == 3
         assert all(set(env) == {"d"} for env in envs)
 
     def test_select(self, db):
         plan = Select(Scan("Dept", "d"), BinOp("<", path("d", "dno"), const(3)))
-        assert len(rows(plan, db)) == 2
+        assert len(stream_rows(plan, db)) == 2
 
     def test_map(self, db):
         plan = Map(Scan("Dept", "d"), (("k", path("d", "dno")),))
-        envs = rows(plan, db)
+        envs = stream_rows(plan, db)
         assert {env["k"] for env in envs} == {1, 2, 3}
 
     def test_join(self, db):
@@ -101,7 +101,7 @@ class TestStreams:
             Scan("Dept", "d"),
             BinOp("==", path("e", "dno"), path("d", "dno")),
         )
-        assert len(rows(plan, db)) == 3
+        assert len(stream_rows(plan, db)) == 3
 
     def test_outer_join_pads_with_null(self, db):
         plan = OuterJoin(
@@ -109,7 +109,7 @@ class TestStreams:
             Scan("Emp", "e"),
             BinOp("==", path("e", "dno"), path("d", "dno")),
         )
-        envs = rows(plan, db)
+        envs = stream_rows(plan, db)
         assert len(envs) == 4  # dept 1 x 2 emps, dept 2 x 1, dept 3 padded
         padded = [env for env in envs if is_null(env["e"])]
         assert len(padded) == 1
@@ -117,18 +117,18 @@ class TestStreams:
 
     def test_unnest(self, db):
         plan = Unnest(Scan("Emp", "e"), path("e", "kids"), "k")
-        assert len(rows(plan, db)) == 3  # employee b contributes nothing
+        assert len(stream_rows(plan, db)) == 3  # employee b contributes nothing
 
     def test_unnest_with_predicate(self, db):
         plan = Unnest(
             Scan("Emp", "e"), path("e", "kids"), "k",
             BinOp(">", path("k", "age"), const(4)),
         )
-        assert len(rows(plan, db)) == 2
+        assert len(stream_rows(plan, db)) == 2
 
     def test_outer_unnest_pads_empty(self, db):
         plan = OuterUnnest(Scan("Emp", "e"), path("e", "kids"), "k")
-        envs = rows(plan, db)
+        envs = stream_rows(plan, db)
         assert len(envs) == 4
         assert sum(1 for env in envs if is_null(env["k"])) == 1
 
@@ -137,7 +137,7 @@ class TestStreams:
             Scan("Emp", "e"), path("e", "kids"), "k",
             BinOp(">", path("k", "age"), const(100)),
         )
-        envs = rows(plan, db)
+        envs = stream_rows(plan, db)
         assert len(envs) == 3
         assert all(is_null(env["k"]) for env in envs)
 
@@ -148,7 +148,7 @@ class TestStreams:
             BinOp("==", path("e", "dno"), path("d", "dno")),
         )
         plan = OuterUnnest(inner, path("e", "kids"), "k")
-        envs = rows(plan, db)
+        envs = stream_rows(plan, db)
         dept3 = [env for env in envs if env["d"]["dno"] == 3]
         assert len(dept3) == 1
         assert is_null(dept3[0]["e"]) and is_null(dept3[0]["k"])
@@ -162,7 +162,7 @@ class TestNest:
             BinOp("==", path("e", "dno"), path("d", "dno")),
         )
         nest = Nest(join, "sum", const(1), ("d",), ("e",), "m")
-        envs = rows(nest, db)
+        envs = stream_rows(nest, db)
         counts = {env["d"]["dno"]: env["m"] for env in envs}
         assert counts == {1: 2, 2: 1, 3: 0}
 
@@ -173,7 +173,7 @@ class TestNest:
             BinOp("==", path("e", "dno"), path("d", "dno")),
         )
         nest = Nest(join, "set", path("e", "name"), ("d",), ("e",), "m")
-        envs = rows(nest, db)
+        envs = stream_rows(nest, db)
         by_dno = {env["d"]["dno"]: env["m"] for env in envs}
         assert by_dno[3] == SetValue()
         assert by_dno[1] == SetValue(["a", "b"])
@@ -185,7 +185,7 @@ class TestNest:
             BinOp("==", path("e", "dno"), path("d", "dno")),
         )
         nest = Nest(join, "all", const(False), ("d",), ("e",), "m")
-        envs = rows(nest, db)
+        envs = stream_rows(nest, db)
         values = {env["d"]["dno"]: env["m"] for env in envs}
         assert values == {1: False, 2: False, 3: True}
 
@@ -199,13 +199,13 @@ class TestNest:
             join, "sum", const(1), ("d",), ("e",), "m",
             pred=BinOp("==", path("e", "name"), const("a")),
         )
-        counts = {env["d"]["dno"]: env["m"] for env in rows(nest, db)}
+        counts = {env["d"]["dno"]: env["m"] for env in stream_rows(nest, db)}
         assert counts == {1: 1, 2: 0, 3: 0}
 
     def test_group_key_with_multiple_columns(self, db):
         join = Join(Scan("Emp", "e"), Scan("Dept", "d"), Const(True))
         nest = Nest(join, "sum", const(1), ("e", "d"), (), "m")
-        envs = rows(nest, db)
+        envs = stream_rows(nest, db)
         assert len(envs) == 9
         assert all(env["m"] == 1 for env in envs)
 

@@ -1,12 +1,13 @@
-"""Batch-at-a-time execution: chunk plumbing, tier-3 kernels, row parity.
+"""Batch-at-a-time execution: chunk plumbing, tier-3 kernels, semantics.
 
-The batch layer's contract is that it is *observationally identical* to the
-tuple-at-a-time path it replaced as the default: same results, same
-structured errors at the same rows, same governor work-unit totals on
-draining queries.  These tests pin that contract directly — batch vs row
-on the same database — plus the chunk-boundary mechanics (partial chunks,
-tiny and non-divisible batch sizes, empty inputs), the kernel truncation
-protocol, and the EXPLAIN ANALYZE chunk accounting.
+The engine has one execution protocol — columnar chunks — and its
+contract is that chunking is *unobservable*: at every batch size the
+results, the structured errors and the governor work-unit totals are
+those of the row-at-a-time semantics.  These tests pin that contract
+against the ``calculus-raw`` reference of :mod:`repro.testing.oracle` at
+batch sizes 1, 7 and 1024, plus the chunk-boundary mechanics (partial
+chunks, tiny and non-divisible batch sizes, empty inputs), the kernel
+truncation protocol, and the EXPLAIN ANALYZE chunk accounting.
 """
 
 from __future__ import annotations
@@ -15,35 +16,53 @@ from itertools import product
 
 import pytest
 
-from repro.calculus.terms import BinOp, Const, Var
+from repro.algebra.operators import Scan, Select
+from repro.calculus.terms import BinOp, Const, Proj, Var
 from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.datagen import company_database, university_database
 from repro.data.values import NULL, CollectionValue, Record
-from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk, chunk_rows
+from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk
 from repro.engine.compile import ExprCompiler
+from repro.engine.planner import PlannerOptions, plan_physical
 from repro.errors import QueryError
-from repro.testing.oracle import results_equal
+from repro.testing.oracle import PATHS, results_equal
+
+#: The reference semantics: direct evaluation of the calculus term.
+REFERENCE = dict(PATHS)["calculus-raw"]
+
+#: Every batch-sensitive test runs at these chunk sizes: one row, a small
+#: non-divisible size, and the default.
+SIZES = (1, 7, DEFAULT_BATCH_SIZE)
 
 
 def run_both(db, oql, batch_size=DEFAULT_BATCH_SIZE, **params):
-    """Execute *oql* batched and row-at-a-time; assert agreement."""
-    batched = QueryPipeline(db, OptimizerOptions(batch_size=batch_size))
-    rowed = QueryPipeline(db, OptimizerOptions(batched_exec=False))
-    b = batched.run_oql(oql, **params)
-    r = rowed.run_oql(oql, **params)
-    assert results_equal(b, r), f"batch/row disagreement on {oql!r}"
-    return b
+    """Execute *oql* at every size in SIZES (and *batch_size*); assert each
+    agrees with the calculus reference; return the *batch_size* result."""
+    reference = REFERENCE(oql, params, db)
+    results = {}
+    for size in {*SIZES, batch_size}:
+        pipeline = QueryPipeline(db, OptimizerOptions(batch_size=size))
+        results[size] = pipeline.run_oql(oql, **params)
+        assert results_equal(results[size], reference), (
+            f"batch size {size} disagrees with the reference on {oql!r}"
+        )
+    return results[batch_size]
 
 
 def both_fail(db, oql, batch_size=DEFAULT_BATCH_SIZE):
-    """Both paths must fail with a structured QueryError; return the pair."""
-    with pytest.raises(QueryError) as bexc:
-        QueryPipeline(db, OptimizerOptions(batch_size=batch_size)).run_oql(oql)
-    with pytest.raises(QueryError) as rexc:
-        QueryPipeline(db, OptimizerOptions(batched_exec=False)).run_oql(oql)
-    return bexc.value, rexc.value
+    """Every batch size must fail with a structured QueryError, and so must
+    the reference; return (error at *batch_size*, reference error)."""
+    with pytest.raises(Exception) as rexc:
+        REFERENCE(oql, {}, db)
+    errors = {}
+    for size in {*SIZES, batch_size}:
+        pipeline = QueryPipeline(db, OptimizerOptions(batch_size=size))
+        with pytest.raises(QueryError) as bexc:
+            pipeline.run_oql(oql)
+        errors[size] = bexc.value
+    return errors[batch_size], rexc.value
 
 
 # ---------------------------------------------------------------------------
@@ -51,24 +70,31 @@ def both_fail(db, oql, batch_size=DEFAULT_BATCH_SIZE):
 # ---------------------------------------------------------------------------
 
 
-class TestChunkRows:
-    def test_chunks_are_never_empty_and_sizes_add_up(self):
-        rows = [{"x": i} for i in range(10)]
-        chunks = list(chunk_rows(iter(rows), 3))
+def _list_db(values) -> Database:
+    # A *list* extent: scan order is the insertion order.
+    db = Database()
+    db.add_extent("N", [Record(v=v) for v in values], kind="list")
+    return db
+
+
+class TestChunk:
+    def test_scan_chunks_are_never_empty_and_sizes_add_up(self):
+        db = _list_db(range(10))
+        scan = plan_physical(Scan("N", "n"), db, PlannerOptions(batch_size=3))
+        chunks = list(scan.batches())
         assert [c.length for c in chunks] == [3, 3, 3, 1]
-        assert all(c.length > 0 for c in chunks)
-        assert [e for c in chunks for e in c.envs()] == rows
+        assert [e["n"]["v"] for c in chunks for e in c.envs()] == list(range(10))
 
     def test_lazy_error_delivery_flushes_partial_chunk_first(self):
-        def rows():
-            yield {"x": 1}
-            yield {"x": 2}
-            raise ValueError("poison")
-
-        stream = chunk_rows(rows(), 5)
+        # The fault sits at row 2: the rows before it arrive as a partial
+        # chunk, and the error is raised only when the next one is pulled.
+        db = _list_db([5, 4, 0, 2])
+        pred = BinOp(">", BinOp("/", Const(100), Proj(Var("n"), "v")), Const(0))
+        select = plan_physical(Select(Scan("N", "n"), pred), db)
+        stream = select.batches()
         chunk = next(stream)
-        assert chunk.length == 2 and chunk.columns["x"] == [1, 2]
-        with pytest.raises(ValueError, match="poison"):
+        assert [env["n"]["v"] for env in chunk.envs()] == [5, 4]
+        with pytest.raises(QueryError, match="zero"):
             next(stream)
 
     def test_env_roundtrip(self):
@@ -83,20 +109,6 @@ class TestChunkRows:
         # the yield, not construct a zero-row chunk a kernel would choke on.
         with pytest.raises(ValueError, match="at least one row"):
             Chunk.from_envs([])
-
-    def test_key_set_mismatch_fails_loud_on_missing_column(self):
-        rows = iter([{"a": 1, "b": 2}, {"a": 3, "c": 4}])
-        stream = chunk_rows(rows, 10)
-        with pytest.raises(ValueError, match="binds columns"):
-            list(stream)
-
-    def test_key_set_mismatch_fails_loud_on_extra_column(self):
-        # Same column count but different names must not silently borrow
-        # the first row's schema.
-        rows = iter([{"a": 1}, {"a": 2, "b": 3}])
-        stream = chunk_rows(rows, 10)
-        with pytest.raises(ValueError, match="binds columns"):
-            list(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +208,15 @@ class TestNullQueries:
 
 
 class TestErrorTruncation:
-    def _db(self, values) -> Database:
-        # A *list* extent: these tests pin down where in the scan order the
-        # fault sits relative to the witness.
-        db = Database()
-        db.add_extent("N", [Record(v=v) for v in values], kind="list")
-        return db
+    # List extents: these tests pin down where in the scan order the fault
+    # sits relative to the witness.
+    _db = staticmethod(_list_db)
 
     @pytest.mark.parametrize("size", [1, 3, DEFAULT_BATCH_SIZE])
     def test_mid_stream_division_fault_on_both_paths(self, size):
         # The zero sits mid-extent: the batch kernel truncates its chunk at
-        # that row and the rerun raises the same structured error the row
-        # path raises.
+        # that row and the rerun raises the same error the reference
+        # raises.
         db = self._db([5, 4, 0, 2, 1])
         b, r = both_fail(db, "select 100 / n.v from n in N", batch_size=size)
         assert "zero" in str(b) and "zero" in str(r)
@@ -217,7 +226,7 @@ class TestErrorTruncation:
         # The witness (v = 5, where 100/5 > 10) precedes the poison row
         # inside the same chunk: `some` merges the kernel's truncated
         # prefix in stream order and short-circuits before the captured
-        # error would surface — exactly the row path's laziness.
+        # error would surface — exactly the reference's laziness.
         db = self._db([5, 0, 3])
         assert run_both(db, "exists n in N: 100 / n.v > 10") is True
 
@@ -239,30 +248,30 @@ class TestErrorTruncation:
 # ---------------------------------------------------------------------------
 
 
+#: Draining queries (no short-circuit) and their work-unit totals on the
+#: company_db fixture: one unit per row scanned and per join pair
+#: considered.  The totals are those the row-at-a-time engine ticked.
 DRAINING_QUERIES = (
-    "sum( select e.salary from e in Employees )",
-    "select e.name from e in Employees where e.salary > 30000",
-    "count( select struct(e: e.name, d: d.name) from e in Employees, "
-    "d in Departments where e.dno = d.dno )",
-    "select struct( D: d.dno, N: count( select e from e in Employees "
-    "where e.dno = d.dno ) ) from d in Departments",
+    ("sum( select e.salary from e in Employees )", 30),
+    ("select e.name from e in Employees where e.salary > 30000", 30),
+    ("count( select struct(e: e.name, d: d.name) from e in Employees, "
+     "d in Departments where e.dno = d.dno )", 57),
+    ("select struct( D: d.dno, N: count( select e from e in Employees "
+     "where e.dno = d.dno ) ) from d in Departments", 57),
 )
 
 
 class TestGovernorParity:
-    @pytest.mark.parametrize("oql", DRAINING_QUERIES)
-    def test_work_units_match_row_mode(self, oql, company_db):
-        # A timeout configures a governor without a row budget, so the
-        # batch paths stay active and every operator still ticks; draining
-        # queries (no short-circuit) must account identical totals.
-        batched = QueryPipeline(
-            company_db, OptimizerOptions(timeout=3600.0)
+    @pytest.mark.parametrize("oql,units", DRAINING_QUERIES)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_work_units_match_row_mode_totals(self, oql, units, size, company_db):
+        # A timeout configures a governor without a row budget; every
+        # operator still ticks, and chunking must not change the total.
+        stats = QueryPipeline(
+            company_db, OptimizerOptions(timeout=3600.0, batch_size=size)
         ).run_oql_stats(oql)
-        rowed = QueryPipeline(
-            company_db, OptimizerOptions(timeout=3600.0, batched_exec=False)
-        ).run_oql_stats(oql)
-        assert results_equal(batched.result, rowed.result)
-        assert batched.governor_ticks == rowed.governor_ticks
+        assert results_equal(stats.result, REFERENCE(oql, {}, company_db))
+        assert stats.governor_ticks == units
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +327,18 @@ class TestBoundaries:
         assert isinstance(result, CollectionValue) and len(result) == 0
         assert run_both(db, "count( select f from f in F )") == 0
 
-    def test_interpreted_runs_stay_on_the_row_path(self, company_db):
-        # batched_exec needs tier-3 kernels; with expression compilation
-        # off the plan must silently run row-at-a-time and still agree.
+    def test_interpreted_runs_produce_chunks(self, company_db):
+        # With expression compilation off the kernels loop over the
+        # interpreter: the same operators run and still chunk their output.
         pipeline = QueryPipeline(
             company_db, OptimizerOptions(compiled_exprs=False)
         )
         oql = "select e.name from e in Employees where e.salary > 30000"
         stats = pipeline.run_oql_stats(oql)
-        assert all(op.batches_produced == 0 for op in stats.operators)
+        assert all(
+            op.batches_produced > 0 for op in stats.operators[1:]
+        ), stats.report()
+        assert {op.eval_mode for op in stats.operators} >= {"interpreted"}
         assert results_equal(
             stats.result, QueryPipeline(company_db).run_oql(oql)
         )

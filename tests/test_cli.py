@@ -28,6 +28,14 @@ class TestCliPlumbing:
             build_parser().parse_args(argv)
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_no_batch_flag_is_not_accepted(self, capsys):
+        # One execution path: the old row-at-a-time switch is a usage error.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["--no-batch", "select e from e in Employees"]
+            )
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_all_demo_databases_build(self):
         for name, maker in DATABASES.items():
             db = maker()

@@ -228,7 +228,10 @@ def test_no_compile_option_disables_the_compiler(db):
 
 
 def _exhaust_twice(op):
-    return list(op.rows()), list(op.rows())
+    def drain():
+        return [env for chunk in op.batches() for env in chunk.envs()]
+
+    return drain(), drain()
 
 
 def test_hash_join_build_side_runs_once(db):

@@ -170,13 +170,13 @@ class TestExecution:
         plan = Reduce(
             Scan("R", "r"), "some", BinOp(">=", path("r", "k"), const(0))
         )
-        physical = plan_physical(plan, db, PlannerOptions(batched_exec=False))
+        physical = plan_physical(plan, db, PlannerOptions(batch_size=1))
         assert physical.value() is True
         # the predicate holds for every row, so the very first row decides
         scan = physical.children()[0]
         assert scan.rows_produced == 1
-        # the batch path still short-circuits, at chunk granularity: it
-        # overshoots by at most one chunk instead of reading the extent.
+        # larger chunks still short-circuit, at chunk granularity: they
+        # overshoot by at most one chunk instead of reading the extent.
         batched = plan_physical(plan, db, PlannerOptions(batch_size=2))
         assert batched.value() is True
         assert batched.children()[0].rows_produced == 2
@@ -271,7 +271,7 @@ class TestHashJoin:
         expected = [(0, 0), (0, 3), (10, 1), (10, 4), (20, 2), (20, 5)]
         for options in (
             PlannerOptions(),
-            PlannerOptions(batched_exec=False),
+            PlannerOptions(batch_size=7),
             PlannerOptions(batch_size=1),
             PlannerOptions(hash_joins=False),
         ):

@@ -89,7 +89,7 @@ class TestRepl:
         assert "unknown meta-command" in text
         assert "unknown database" in text
 
-    def test_batch_toggle_and_size(self):
+    def test_batch_size(self):
         text = self._run(
             [
                 "\\batch",
@@ -100,8 +100,9 @@ class TestRepl:
                 "\\quit",
             ]
         )
-        assert "\\batch off (batch execution)" in text
-        assert "\\batch on (16 rows per chunk)" in text
-        assert "usage: \\batch" in text
-        # both modes ran the query (two result lines)
+        # A bare \\batch is no longer a toggle: like a non-number, it
+        # prints the usage and leaves the chunk size alone.
+        assert text.count("usage: \\batch N") == 2
+        assert "\\batch (16 rows per chunk)" in text
+        # both chunk sizes ran the query (two result lines)
         assert text.count("  60") == 2

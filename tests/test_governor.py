@@ -98,6 +98,49 @@ class TestRowBudget:
             )
 
 
+#: One query per plan shape, each with a row budget below its total work:
+#: (the operator that shape's plan must contain, query, max_rows).
+BUDGET_SHAPES = (
+    ("Scan(", "select e.name from e in Employees", 25),
+    ("Select(", "select e.name from e in Employees where e.salary > 0", 25),
+    ("Unnest(", "select c.name from e in Employees, c in e.children", 70),
+    (
+        "HashJoin(",
+        "select e.name from e in Employees, d in Departments "
+        "where e.dno = d.dno",
+        100,
+    ),
+    ("NLJoin(", CROSS, 100),
+)
+
+
+class TestRowBudgetContract:
+    """``max_rows=N`` fails at exactly N + 1 work units on every plan shape
+    and chunk size: units are settled in steps that stop at the budget."""
+
+    @pytest.mark.parametrize(
+        "operator,oql,budget", BUDGET_SHAPES, ids=[s[0] for s in BUDGET_SHAPES]
+    )
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    def test_trips_at_exactly_one_unit_over(self, db, operator, oql, budget, size):
+        pipeline = QueryPipeline(
+            db, OptimizerOptions(max_rows=budget, batch_size=size)
+        )
+        assert operator in pipeline.compile_oql(oql).physical(db).explain()
+        with pytest.raises(BudgetExceeded, match=rf"\b{budget + 1} work units"):
+            pipeline.run_oql(oql)
+
+
+#: Plans whose blocking builds buffer under a memory budget: a collection
+#: nest, a hash-join build and a nested-loop inner side.
+BLOCKING_QUERIES = (
+    "select struct(D: d.name, E: (select e.name from e in Employees "
+    "where e.dno = d.dno)) from d in Departments",
+    "select e.name from e in Employees, d in Departments where e.dno = d.dno",
+    CROSS,
+)
+
+
 class TestTimeout:
     def test_expired_deadline_trips(self, db):
         pipeline = QueryPipeline(db, OptimizerOptions(timeout=0.0))
@@ -134,6 +177,35 @@ class TestMemoryBudget:
             "where e.dno = d.dno"
         )
         assert pipeline.run_oql(query) == QueryPipeline(db).run_oql(query)
+
+    @pytest.mark.parametrize("oql", BLOCKING_QUERIES)
+    def test_budgeted_run_executes_the_unbudgeted_operators(self, db, oql):
+        budgeted = QueryPipeline(
+            db, OptimizerOptions(max_bytes=100_000_000)
+        ).run_oql_stats(oql)
+        plain = QueryPipeline(db).run_oql_stats(oql)
+        assert budgeted.governor_peak_bytes > 0
+        assert results_equal(budgeted.result, plain.result)
+        # Same operators (variable names differ between compilations),
+        # same rows, same chunks.
+        def shape(stats):
+            return [
+                (op.operator.split("(")[0], op.rows_produced, op.batches_produced)
+                for op in stats.operators
+            ]
+
+        assert shape(budgeted) == shape(plain)
+        # Every operator below the root reports its chunks.
+        lines = budgeted.report().splitlines()
+        operator_lines = [line for line in lines if line.startswith("  ")]
+        assert operator_lines
+        assert all("batches=" in line for line in operator_lines)
+
+    @pytest.mark.parametrize("oql", BLOCKING_QUERIES)
+    def test_every_blocking_build_charges(self, db, oql):
+        pipeline = QueryPipeline(db, OptimizerOptions(max_bytes=100))
+        with pytest.raises(BudgetExceeded, match="memory budget"):
+            pipeline.run_oql(oql)
 
     def test_estimate_bytes_is_shallow_but_positive(self):
         assert estimate_bytes(0) > 0
