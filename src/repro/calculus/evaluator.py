@@ -55,8 +55,8 @@ class DivisionByZeroError(EvaluationError):
     The repo pins the typed-error semantics (not SQL's silent NULL): the
     T1–T9 rules cannot see the divisor's *value*, so a zero divisor is a
     runtime fault — but a structured one, raised identically by the
-    interpreter, the closure tier, and the source-generation tier (the
-    differential oracle sweeps all three).
+    interpreter, the compiled row closures and the batch kernels (the
+    differential oracle and ``tests/test_compile.py`` sweep all three).
     """
 
 

@@ -8,35 +8,25 @@ constant factor: a type-dispatch dictionary lookup, a bound-method call, two
 ``isinstance`` NULL tests, and (for binary operations) a chain of string
 comparisons in ``apply_binop``, all per node per row.
 
-This module removes that factor by *lowering* each term, in three tiers:
+This module removes that factor by *lowering* each term twice:
 
-1. **Source generation** (the fast tier): the common row-level node kinds —
-   variables, constants, parameters, projections, arithmetic / comparison /
-   boolean operators, ``if``, ``let``, record construction — are emitted as
-   straight-line Python source with explicit NULL-propagation branches, then
-   ``compile()``d into one native function per term.  Evaluating such a term
-   is plain bytecode: no per-node calls at all.
-2. **Nested-closure composition** (the portable tier): node kinds outside
-   the source subset (lambdas, monoid operations) become one specialized
-   closure each, calling their children's closures directly, with the
-   operator and NULL checks resolved at compile time.  Source-tier code
-   reaches a closure-tier subtree through a single embedded call.
-3. **Batch kernels** (the vectorized tier): the same source-tier body
-   wrapped in one generated ``while`` loop over a columnar
-   :class:`~repro.engine.batch.Chunk` — one native call evaluates the term
-   for every row of a batch, reading hoisted column locals instead of an
-   env dict per row.  Kernels never raise mid-batch: an exception at row
-   *t* is returned as ``(values so far, t, error)`` so the caller can
-   deliver the preceding rows first and replay the error lazily, exactly
-   where row-by-row evaluation would have raised it (see
-   :class:`CompiledKernel`).  The physical operators call only kernels;
-   the row closures of tiers 1 and 2 back the kernels' per-row fallback
-   (:func:`_loop_kernel`) and the once-per-execution expressions (index
-   keys, ``Eval`` roots).
-
-Either tier degrades per node, never per term: a node kind neither tier
-knows (a residual :class:`~repro.calculus.terms.Comprehension`) compiles
-into a call into the reference interpreter for *that subtree* only.
+1. **Row closures** (closure composition): every node becomes one
+   specialized closure calling its children's closures directly, with the
+   operator and NULL checks resolved at compile time.  Row closures serve
+   the once-per-execution expressions (index keys, ``Eval`` roots) and
+   back every kernel's fault rerun.
+2. **Batch kernels** (the vectorized tier): the term emitted as one Python
+   expression and ``compile()``d into a single list comprehension over a
+   columnar :class:`~repro.engine.batch.Chunk` — one native call evaluates
+   the term for every row of a batch, reading hoisted column locals
+   instead of an env dict per row.  Kernels never raise mid-batch: an
+   exception at row *t* is returned as ``(values so far, t, error)`` so the
+   caller can deliver the preceding rows first and replay the error
+   lazily, exactly where row-by-row evaluation would have raised it (see
+   :class:`CompiledKernel`).  Any exception inside the comprehension
+   reruns the chunk through :func:`_loop_kernel` over the term's row
+   closure, which finds that row and the structured error.  The physical
+   operators call only kernels.
 
 Three properties are load-bearing:
 
@@ -53,8 +43,10 @@ Three properties are load-bearing:
 * **Per-node fallback.**  A node kind the compiler does not know (a future
   extension term, a residual :class:`~repro.calculus.terms.Comprehension`
   that survived unnesting) compiles into a closure that hands *that subtree*
-  to the interpreter; its siblings and ancestors stay compiled.  Compilation
-  therefore never fails — it degrades.
+  to the interpreter; its siblings and ancestors stay compiled.  A kernel
+  reaches such a subtree (and every node kind outside its expression
+  subset) through one embedded row-closure call.  Compilation therefore
+  never fails — it degrades.
 * **Observability.**  :class:`CompiledExpr` counts compiled vs. fallback
   nodes, so EXPLAIN ANALYZE can annotate each physical operator with
   whether its expressions run ``compiled``, ``mixed``, or ``interpreted``.
@@ -63,8 +55,8 @@ The compiler is wired into the engine through ``PlannerOptions.
 compiled_exprs`` (default on; ``--no-compile`` from the CLI) and cached per
 plan on :class:`~repro.core.pipeline.CompiledQuery`, so the plan cache
 amortizes codegen along with planning.  With it off, the engine wraps the
-calculus interpreter in the same :func:`_loop_kernel` adapter, so both
-expression tiers run through the same operators.
+calculus interpreter in the same :func:`_loop_kernel` adapter, so the
+interpreter and the compiler run through the same operators.
 """
 
 from __future__ import annotations
@@ -154,7 +146,7 @@ class CompiledExpr:
 
 
 class CompiledKernel:
-    """A term lowered to a batch-level loop (the vectorized third tier).
+    """A term lowered to a batch-level loop (the vectorized tier).
 
     ``fn(cols, n)`` evaluates the term over rows ``0..n-1`` of a columnar
     chunk and returns ``(values, t, error)``: the results for rows
@@ -257,11 +249,21 @@ class ExprCompiler:
         #: alive; an ``is`` check guards against id reuse.
         self._by_id: dict[tuple[str, int], tuple[Term, Any]] = {}
 
-    def _id_hit(self, kind: str, term: Term) -> Any:
+    def _memoized(
+        self, kind: str, term: Term, lower: Callable[[Term], Any]
+    ) -> Any:
+        """The memoized lowering of *term* under *kind*, built by *lower*
+        on a miss: the identity front cache first, then the structural
+        memo."""
         hit = self._by_id.get((kind, id(term)))
         if hit is not None and hit[0] is term:
             return hit[1]
-        return None
+        key = _memo_key(kind, term)
+        lowered = self._memo.get(key)
+        if lowered is None:
+            lowered = self._memo[key] = lower(term)
+        self._by_id[(kind, id(term))] = (term, lowered)
+        return lowered
 
     def activate(self, evaluator: Evaluator, database: Any) -> None:
         """Point the runtime at one execution's interpreter and database."""
@@ -273,25 +275,8 @@ class ExprCompiler:
     # -- entry points -------------------------------------------------------
 
     def compile(self, term: Term) -> CompiledExpr:
-        """Lower *term* to a value-producing function (source tier first)."""
-        hit = self._id_hit("expr", term)
-        if hit is not None:
-            return hit
-        key = _memo_key("expr", term)
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            self._by_id[("expr", id(term))] = (term, memoized)
-            return memoized
-        counter = _Counter()
-        try:
-            fn = _SourceEmitter(self, counter).function(term, predicate=False)
-        except Exception:  # noqa: BLE001 - degrade to the closure tier
-            counter = _Counter()
-            fn = self._compile(term, counter)
-        compiled = CompiledExpr(fn, term, counter.compiled, counter.fallback)
-        self._memo[key] = compiled
-        self._by_id[("expr", id(term))] = (term, compiled)
-        return compiled
+        """Lower *term* to a value-producing row closure."""
+        return self._memoized("expr", term, self._lower)
 
     def compile_predicate(self, term: Term) -> CompiledExpr:
         """Lower *term* to a strict-boolean function (NULL counts as False).
@@ -300,90 +285,67 @@ class ExprCompiler:
         a filter's semantics: a NULL predicate fails the filter, anything
         non-boolean raises :class:`EvaluationError`.
         """
-        hit = self._id_hit("pred", term)
-        if hit is not None:
-            return hit
-        key = _memo_key("pred", term)
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            self._by_id[("pred", id(term))] = (term, memoized)
-            return memoized
-        if isinstance(term, Const) and term.value is True:
-            # The planner's "no residual predicate" marker; skip the call.
-            compiled = CompiledExpr(_always_true, term, 1, 0)
-            self._memo[key] = compiled
-            return compiled
-        counter = _Counter()
-        try:
-            fn = _SourceEmitter(self, counter).function(term, predicate=True)
-        except Exception:  # noqa: BLE001 - degrade to the closure tier
-            counter = _Counter()
-            value = self._compile(term, counter)
-
-            def fn(env: dict) -> bool:
-                result = value(env)
-                if result is True:
-                    return True
-                if result is False or result is NULL:
-                    return False
-                raise EvaluationError(
-                    "predicate did not evaluate to a boolean"
-                )
-
-        compiled = CompiledExpr(fn, term, counter.compiled, counter.fallback)
-        self._memo[key] = compiled
-        self._by_id[("pred", id(term))] = (term, compiled)
-        return compiled
+        return self._memoized("pred", term, self._lower_predicate)
 
     def compile_kernel(self, term: Term) -> CompiledKernel:
-        """Lower *term* to a value-producing batch kernel (tier 3).
-
-        Falls back to a generated loop over the row closure when the kernel
-        emitter cannot handle the term — the batch path never fails to
-        plan, it just loses the column-hoisting win for that expression.
-        """
-        hit = self._id_hit("kexpr", term)
-        if hit is not None:
-            return hit
-        key = _memo_key("kexpr", term)
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            self._by_id[("kexpr", id(term))] = (term, memoized)
-            return memoized
-        try:
-            fn = _KernelEmitter(self, _Counter()).kernel(term, predicate=False)
-        except Exception:  # noqa: BLE001 - degrade to a row-closure loop
-            fn = _loop_kernel(self.compile(term).fn)
-        kernel = CompiledKernel(fn, term)
-        self._memo[key] = kernel
-        self._by_id[("kexpr", id(term))] = (term, kernel)
-        return kernel
+        """Lower *term* to a value-producing batch kernel."""
+        return self._memoized(
+            "kexpr", term, lambda t: self._kernel(t, self.compile(t), False)
+        )
 
     def compile_predicate_kernel(self, term: Term) -> CompiledKernel:
         """Lower *term* to a strict-boolean batch kernel: each result is
         ``True`` or ``False`` (NULL filters as False), matching
         :meth:`compile_predicate` row for row."""
-        hit = self._id_hit("kpred", term)
-        if hit is not None:
-            return hit
-        key = _memo_key("kpred", term)
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            self._by_id[("kpred", id(term))] = (term, memoized)
-            return memoized
+        return self._memoized(
+            "kpred",
+            term,
+            lambda t: self._kernel(t, self.compile_predicate(t), True),
+        )
+
+    # -- lowerings ----------------------------------------------------------
+
+    def _lower(self, term: Term) -> CompiledExpr:
+        counter = _Counter()
+        fn = self._compile(term, counter)
+        return CompiledExpr(fn, term, counter.compiled, counter.fallback)
+
+    def _lower_predicate(self, term: Term) -> CompiledExpr:
         if isinstance(term, Const) and term.value is True:
-            kernel = CompiledKernel(_true_kernel, term, trivial_true=True)
-            self._memo[key] = kernel
-            self._by_id[("kpred", id(term))] = (term, kernel)
-            return kernel
+            # The planner's "no residual predicate" marker; skip the call.
+            return CompiledExpr(_always_true, term, 1, 0)
+        value = self._lower(term)
+        value_fn = value.fn
+
+        def fn(env: dict) -> bool:
+            result = value_fn(env)
+            if result is True:
+                return True
+            if result is False or result is NULL:
+                return False
+            raise EvaluationError("predicate did not evaluate to a boolean")
+
+        return CompiledExpr(
+            fn, term, value.compiled_nodes, value.fallback_nodes
+        )
+
+    def _kernel(
+        self, term: Term, row: CompiledExpr, predicate: bool
+    ) -> CompiledKernel:
+        """The comprehension kernel for *term*, rerunning faulting chunks
+        through a loop over its row closure *row*.  A term the comprehension
+        form cannot express (nested past the parser's limits, an operator
+        outside its subset) runs that loop for every chunk — the batch path
+        never fails to plan, it just loses the column-hoisting win for that
+        expression."""
+        if predicate and isinstance(term, Const) and term.value is True:
+            return CompiledKernel(_true_kernel, term, trivial_true=True)
+        slow = _loop_kernel(row.fn)
         try:
-            fn = _KernelEmitter(self, _Counter()).kernel(term, predicate=True)
-        except Exception:  # noqa: BLE001 - degrade to a row-closure loop
-            fn = _loop_kernel(self.compile_predicate(term).fn)
-        kernel = CompiledKernel(fn, term)
-        self._memo[key] = kernel
-        self._by_id[("kpred", id(term))] = (term, kernel)
-        return kernel
+            fn = _KernelEmitter(self).kernel(term, predicate, slow)
+        except Exception:  # noqa: BLE001 - degrade to the row-closure loop
+            fn = slow
+        return CompiledKernel(fn, term)
 
     # -- recursive lowering -------------------------------------------------
 
@@ -609,8 +571,9 @@ def _true_kernel(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
 def _loop_kernel(row_fn: EvalFn) -> KernelFn:
     """Batch adapter over a row closure: one env dict per row.
 
-    The fallback when the kernel emitter cannot lower a term (or the term
-    compiled into something the source tier rejects).  Still honours the
+    A comprehension kernel's rerun on a faulting chunk, the whole kernel
+    for a term the comprehension form cannot express, and (over the
+    interpreter) every kernel under ``--no-compile``.  Still honours the
     kernel contract — an exception at row *i* is captured as a truncation
     point, never raised."""
 
@@ -845,25 +808,21 @@ _BINOPS: dict[str, Callable[[EvalFn, EvalFn], EvalFn]] = {
 }
 
 # ---------------------------------------------------------------------------
-# Source tier: emit a term as straight-line Python and compile() it, so the
-# per-row cost is plain bytecode with no per-node calls.  NULL propagation
-# becomes explicit branches; error paths (unbound variable, bad projection)
-# reproduce the interpreter's exceptions through tiny out-of-line helpers.
-# Node kinds outside the source subset embed a single call to a closure-tier
-# (or interpreter-fallback) evaluation of that subtree.
+# Batch kernels: emit a term as one Python expression and compile() it into
+# a list comprehension over a chunk's columns.  Only success paths are
+# spelled out; an error arm is any raw exception, which abandons the
+# comprehension and reruns the chunk through the term's row closure.
 # ---------------------------------------------------------------------------
 
 
-def _var_miss(name: str, env: dict) -> None:
-    raise EvaluationError(
-        f"unbound variable {name!r}; in scope: {sorted(env)}"
-    )
+def _define(source: str, namespace: dict, name: str) -> Callable:
+    """Compile and execute generated *source*; return its function *name*.
 
-
-def _param_miss(name: str, params: Mapping[str, Any]) -> None:
-    raise UnboundParameterError(
-        f"parameter :{name} has no bound value; bound: {sorted(params)}"
-    )
+    Every generated source passes through here, so codegen has one place
+    to be counted (``tests/test_compile.py`` pins the counts)."""
+    code = compile(source, "<repro.engine.compile:kernel>", "exec")
+    exec(code, namespace)  # noqa: S102 - self-generated source only
+    return namespace[name]
 
 
 def _proj_slow(value: Any, attr: str) -> Any:
@@ -877,463 +836,100 @@ def _proj_slow(value: Any, attr: str) -> Any:
     )
 
 
-def _pred_miss() -> None:
-    raise EvaluationError("predicate did not evaluate to a boolean")
+def _not_boolean() -> None:
+    # Only reached to abandon the comprehension: the row-closure rerun
+    # raises the precise error (predicate, `if` or `not` operand).
+    raise EvaluationError("operand is not a boolean")
 
 
-def _if_miss() -> None:
-    raise EvaluationError("if condition is not a boolean")
+class _KernelEmitter:
+    """Emits one term as a batch kernel ``def _kern(cols, n)``::
 
+        def _kern(cols, n):
+            try:
+                <column hoists>
+                return [<expr> for _i in range(n)], n, None
+            except Exception:
+                return _slow(cols, n)
 
-def _not_miss() -> None:
-    raise EvaluationError("'not' applied to a non-boolean")
+    Each node lowers to one Python expression, walrus temporaries carrying
+    the values that NULL propagation tests twice and the ``let``
+    bindings:
 
+    * **variable reads index hoisted column locals** — the prologue binds
+      ``_colK = cols['name']`` once per batch and the comprehension reads
+      ``_colK[_i]`` instead of an env dict per row;
+    * **lets bind walrus temps, not env copies** — a ``let``-bound
+      variable becomes a function-local name shadowing any same-named
+      column for the extent of the body;
+    * **node kinds outside the expression subset** (lambdas, monoid
+      operations, residual comprehensions) evaluate through one call to
+      their row closure, fed a per-row env dict built from the subtree's
+      free variables (columns absent from the chunk are omitted, so the
+      closure's own unbound-variable error fires only if actually read).
 
-class _SourceEmitter:
-    """Emits one term as the body of a generated ``def _fn(env):``.
-
-    ``gen`` returns, per node, the *expression string* (a temporary name or
-    an inlined literal) holding the node's value, appending any statements
-    it needs at the current indentation depth.  Sub-expressions that the
-    source tier does not cover are bound into the function's namespace as
-    closure-tier evaluators and invoked with the current environment.
+    Error arms are not spelled out.  A raw exception — KeyError,
+    ZeroDivisionError, TypeError — abandons the comprehension, and the
+    chunk reruns through ``_slow``, the :func:`_loop_kernel` over the
+    term's row closure, which returns the exact truncation row and
+    structured error (the kernel contract; see :class:`CompiledKernel`).
+    Success paths must agree with the row closure; error paths only need
+    to *reach* ``_slow``.  Expressions are deterministic, so the rerun
+    reaches the same fault; the only cost is re-evaluating the prefix rows
+    of a faulting chunk, and faults abort the query anyway.
     """
 
-    def __init__(self, compiler: ExprCompiler, counter: _Counter):
+    def __init__(self, compiler: ExprCompiler):
         self.compiler = compiler
-        self.counter = counter
-        self.lines: list[str] = []
         self.n = 0
-        # The function's globals.  ``rt`` is the compiler's ExprRuntime:
+        #: Per-batch setup lines (column hoists, fallback column pairs),
+        #: emitted inside the try but before the comprehension.
+        self.prologue: list[str] = []
+        #: Column name -> hoisted local holding ``cols[name]``.
+        self._columns: dict[str, str] = {}
+        #: Let-bound variable -> walrus temp (shadows columns).
+        self._scope: dict[str, str] = {}
+        # The kernel's globals.  ``rt`` is the compiler's ExprRuntime:
         # activate() mutates it in place, so generated code reading
         # ``rt.params`` / ``rt.database`` always sees the live execution.
         self.ns: dict[str, Any] = {
             "NULL": NULL,
             "Record": Record,
-            "EvaluationError": EvaluationError,
-            "DivisionByZeroError": DivisionByZeroError,
-            "_binop_type_error": _binop_type_error,
             "identity_key": identity_key,
             "_SCALARS": _SCALARS,
-            "_var_miss": _var_miss,
-            "_param_miss": _param_miss,
             "_proj_slow": _proj_slow,
-            "_pred_miss": _pred_miss,
-            "_if_miss": _if_miss,
-            "_not_miss": _not_miss,
+            "_not_boolean": _not_boolean,
             "rt": compiler.runtime,
         }
 
-    def function(self, term: Term, predicate: bool) -> EvalFn:
-        result = self.gen(term, "env", 1)
+    def kernel(self, term: Term, predicate: bool, slow: KernelFn) -> KernelFn:
+        """The comprehension kernel for *term*, or raise when the term
+        cannot be emitted as one expression."""
+        expr = self.xgen(term)
         if predicate:
-            self.line(1, f"if {result} is True:")
-            self.line(2, "return True")
-            self.line(1, f"if {result} is False or {result} is NULL:")
-            self.line(2, "return False")
-            self.line(1, "_pred_miss()")
-        else:
-            self.line(1, f"return {result}")
-        source = "def _fn(env):\n" + "\n".join(self.lines) + "\n"
-        code = compile(source, "<repro.engine.compile>", "exec")
-        exec(code, self.ns)  # noqa: S102 - self-generated source only
-        return self.ns["_fn"]
+            t = self.wtemp()
+            expr = (
+                f"(True if ({t} := {expr}) is True else "
+                f"(False if {t} is False or {t} is NULL else _not_boolean()))"
+            )
+        self.ns["_slow"] = slow
+        source = (
+            "def _kern(cols, n):\n"
+            "    try:\n"
+            + "".join(f"        {line}\n" for line in self.prologue)
+            + f"        return [{expr} for _i in range(n)], n, None\n"
+            "    except Exception:\n"
+            "        return _slow(cols, n)\n"
+        )
+        return _define(source, self.ns, "_kern")
 
     # -- emission helpers ---------------------------------------------------
-
-    def line(self, depth: int, text: str) -> None:
-        self.lines.append("    " * depth + text)
-
-    def temp(self) -> str:
-        self.n += 1
-        return f"t{self.n}"
 
     def bind(self, prefix: str, value: Any) -> str:
         self.n += 1
         name = f"{prefix}{self.n}"
         self.ns[name] = value
         return name
-
-    def gen(self, term: Term, env: str, depth: int) -> str:
-        # Dispatch through the per-class ``handlers`` table (plain function
-        # objects, no dynamic attribute lookup); _KernelEmitter swaps in its
-        # own table for the nodes whose emission differs in a batch loop.
-        handler = self.handlers.get(type(term))
-        if handler is None:
-            return self._gen_fallback(term, env, depth)
-        result = handler(self, term, env, depth)
-        self.counter.compiled += 1
-        return result
-
-    def _gen_fallback(self, term: Term, env: str, depth: int) -> str:
-        # Outside the source subset: one call into the closure tier
-        # (which itself degrades per node to the interpreter).
-        sub = self.bind("s", self.compiler._compile(term, self.counter))
-        out = self.temp()
-        self.line(depth, f"{out} = {sub}({env})")
-        return out
-
-    # -- node emitters ------------------------------------------------------
-
-    def _gen_var(self, term: Var, env: str, depth: int) -> str:
-        out = self.temp()
-        self.line(depth, "try:")
-        self.line(depth + 1, f"{out} = {env}[{term.name!r}]")
-        self.line(depth, "except KeyError:")
-        self.line(depth + 1, f"_var_miss({term.name!r}, {env})")
-        return out
-
-    def _gen_const(self, term: Const, env: str, depth: int) -> str:
-        # Bound as a namespace global, not inlined by repr: operands must be
-        # names so that generated `x.__class__` / `x is NULL` stays valid
-        # (a literal there is a syntax error / SyntaxWarning).
-        return self.bind("c", term.value)
-
-    def _gen_null(self, term: Null, env: str, depth: int) -> str:
-        return "NULL"
-
-    def _gen_param(self, term: Param, env: str, depth: int) -> str:
-        out = self.temp()
-        self.line(depth, "try:")
-        self.line(depth + 1, f"{out} = rt.params[{term.name!r}]")
-        self.line(depth, "except KeyError:")
-        self.line(depth + 1, f"_param_miss({term.name!r}, rt.params)")
-        return out
-
-    def _gen_extent(self, term: Extent, env: str, depth: int) -> str:
-        out = self.temp()
-        self.line(depth, f"{out} = rt.database.extent({term.name!r})")
-        return out
-
-    def _gen_record(self, term: RecordCons, env: str, depth: int) -> str:
-        parts = [
-            (name, self.gen(expr, env, depth)) for name, expr in term.fields
-        ]
-        inner = ", ".join(f"{name!r}: {value}" for name, value in parts)
-        out = self.temp()
-        self.line(depth, f"{out} = Record({{{inner}}})")
-        return out
-
-    def _gen_proj(self, term: Proj, env: str, depth: int) -> str:
-        base = self.gen(term.expr, env, depth)
-        out = self.temp()
-        self.line(depth, f"if {base}.__class__ is Record:")
-        self.line(depth + 1, "try:")
-        self.line(depth + 2, f"{out} = {base}._fields[{term.attr!r}]")
-        self.line(depth + 1, "except KeyError:")
-        self.line(depth + 2, f"_proj_slow({base}, {term.attr!r})")
-        self.line(depth, "else:")
-        self.line(depth + 1, f"{out} = _proj_slow({base}, {term.attr!r})")
-        return out
-
-    def _gen_if(self, term: If, env: str, depth: int) -> str:
-        cond = self.gen(term.cond, env, depth)
-        out = self.temp()
-        self.line(depth, f"if {cond} is True:")
-        then = self.gen(term.then, env, depth + 1)
-        self.line(depth + 1, f"{out} = {then}")
-        self.line(depth, f"elif {cond} is False or {cond} is NULL:")
-        orelse = self.gen(term.orelse, env, depth + 1)
-        self.line(depth + 1, f"{out} = {orelse}")
-        self.line(depth, "else:")
-        self.line(
-            depth + 1, "raise EvaluationError('if condition is not a boolean')"
-        )
-        return out
-
-    def _gen_let(self, term: Let, env: str, depth: int) -> str:
-        value = self.gen(term.value, env, depth)
-        self.n += 1
-        inner = f"e{self.n}"
-        self.line(depth, f"{inner} = dict({env})")
-        self.line(depth, f"{inner}[{term.var!r}] = {value}")
-        return self.gen(term.body, inner, depth)
-
-    def _gen_not(self, term: Not, env: str, depth: int) -> str:
-        value = self.gen(term.expr, env, depth)
-        out = self.temp()
-        self.line(depth, f"if {value} is True:")
-        self.line(depth + 1, f"{out} = False")
-        self.line(depth, f"elif {value} is False:")
-        self.line(depth + 1, f"{out} = True")
-        self.line(depth, f"elif {value} is NULL:")
-        self.line(depth + 1, f"{out} = NULL")
-        self.line(depth, "else:")
-        self.line(
-            depth + 1,
-            "raise EvaluationError(\"'not' applied to a non-boolean\")",
-        )
-        return out
-
-    def _gen_isnull(self, term: IsNull, env: str, depth: int) -> str:
-        value = self.gen(term.expr, env, depth)
-        out = self.temp()
-        self.line(depth, f"{out} = {value} is NULL")
-        return out
-
-    def _gen_binop(self, term: BinOp, env: str, depth: int) -> str:
-        op = term.op
-        if op in ("and", "or"):
-            return self._gen_shortcircuit(term, env, depth)
-        if op not in _SRC_BINOPS:
-            raise NotImplementedError(op)
-        left = self.gen(term.left, env, depth)
-        right = self.gen(term.right, env, depth)
-        out = self.temp()
-        self.line(depth, f"if {left} is NULL or {right} is NULL:")
-        self.line(depth + 1, f"{out} = NULL")
-        if op in ("==", "!="):
-            self.line(
-                depth,
-                f"elif {left}.__class__ in _SCALARS "
-                f"and {right}.__class__ in _SCALARS:",
-            )
-            self.line(depth + 1, f"{out} = {left} {op} {right}")
-            self.line(depth, "else:")
-            self.line(
-                depth + 1,
-                f"{out} = identity_key({left}) {op} identity_key({right})",
-            )
-            return out
-        self.line(depth, "else:")
-        if op in ("/", "%"):
-            fault = "division by zero" if op == "/" else "modulo by zero"
-            self.line(depth + 1, f"if {right} == 0:")
-            self.line(
-                depth + 2, f"raise DivisionByZeroError({fault!r})"
-            )
-        # A well-typed plan never trips the TypeError arm; with
-        # typechecking off the fault must still surface structured,
-        # matching the interpreter (zero-cost when not raised on 3.11+).
-        self.line(depth + 1, "try:")
-        self.line(depth + 2, f"{out} = {left} {op} {right}")
-        self.line(depth + 1, "except TypeError as exc:")
-        self.line(
-            depth + 2,
-            f"raise _binop_type_error({op!r}, {left}, {right}, exc) from exc",
-        )
-        return out
-
-    def _gen_shortcircuit(self, term: BinOp, env: str, depth: int) -> str:
-        shortcut = "False" if term.op == "and" else "True"
-        left = self.gen(term.left, env, depth)
-        out = self.temp()
-        self.line(depth, f"if {left} is {shortcut}:")
-        self.line(depth + 1, f"{out} = {shortcut}")
-        self.line(depth, "else:")
-        right = self.gen(term.right, env, depth + 1)
-        self.line(depth + 1, f"if {left} is NULL or {right} is NULL:")
-        self.line(depth + 2, f"{out} = NULL")
-        self.line(depth + 1, "else:")
-        self.line(depth + 2, f"{out} = {left} {term.op} {right}")
-        return out
-
-
-class _KernelEmitter(_SourceEmitter):
-    """Tier 3: emits one term as a batch kernel ``def _kern(cols, n)``.
-
-    The row body is the same straight-line code the source tier emits, run
-    inside one generated ``while`` loop over the chunk.  Three things
-    differ from the row emitter:
-
-    * **variable reads index hoisted column locals** — a prologue binds
-      ``_colK = cols['name']`` once per batch (raising the interpreter's
-      unbound-variable error if the column is absent), and the loop body
-      reads ``_colK[_i]`` instead of ``env['name']``;
-    * **lets bind scope temps, not env copies** — a ``let``-bound variable
-      becomes a loop-local name shadowing any same-named column for the
-      extent of the body, so no per-row dict is materialized;
-    * **errors truncate instead of raising** — the whole loop runs inside
-      one ``try`` whose handler returns ``(_out, _i, exc)``, giving the
-      caller the rows that preceded the failure (the kernel contract; see
-      :class:`CompiledKernel`).
-
-    Subtrees outside the source subset still evaluate through a
-    closure-tier call, fed a per-row env dict materialized from the
-    subtree's free variables (columns absent from the chunk are omitted so
-    the interpreter's own unbound error fires only if actually read).
-    """
-
-    def __init__(self, compiler: ExprCompiler, counter: _Counter):
-        super().__init__(compiler, counter)
-        #: Per-batch setup lines (column hoists, fallback column pairs),
-        #: emitted inside the try but before the row loop.
-        self.prologue: list[str] = []
-        #: Column name -> hoisted local holding ``cols[name]``.
-        self._columns: dict[str, str] = {}
-        #: Let-bound variable -> loop-local temp (shadows columns).
-        self._scope: dict[str, str] = {}
-
-    def kernel(self, term: Term, predicate: bool) -> KernelFn:
-        """The batch kernel for *term*: the comprehension fast form where
-        the term lowers to a single expression, the statement loop
-        otherwise.
-
-        The fast form evaluates the whole chunk as one list comprehension
-        — no per-row appends, no loop-counter bookkeeping — and keeps the
-        statement loop around as its error path: any exception inside the
-        comprehension (a NULL-division, a bad projection, an unbound
-        parameter) abandons the partial list and reruns the chunk through
-        the slow loop, which reproduces the exact truncation point and
-        structured error of the row tier.  Expressions are deterministic,
-        so the rerun reaches the same fault; the only cost is
-        double-evaluating the prefix rows of a faulting chunk, and faults
-        abort the query anyway.
-        """
-        slow = self._statement_kernel(term, predicate)
-        fast = _KernelEmitter(self.compiler, self.counter)
-        try:
-            return fast._comprehension_kernel(term, predicate, slow)
-        except Exception:  # noqa: BLE001 - fast form is optional
-            return slow
-
-    def _statement_kernel(self, term: Term, predicate: bool) -> KernelFn:
-        result = self.gen(term, "cols", 3)
-        if predicate:
-            self.line(3, f"if {result} is True:")
-            self.line(4, "_append(True)")
-            self.line(3, f"elif {result} is False or {result} is NULL:")
-            self.line(4, "_append(False)")
-            self.line(3, "else:")
-            self.line(4, "_pred_miss()")
-        else:
-            self.line(3, f"_append({result})")
-        prologue = ("\n".join(self.prologue) + "\n") if self.prologue else ""
-        source = (
-            "def _kern(cols, n):\n"
-            "    _out = []\n"
-            "    _append = _out.append\n"
-            "    _i = 0\n"
-            "    try:\n"
-            + prologue
-            + "        while _i < n:\n"
-            + "\n".join(self.lines)
-            + "\n"
-            "            _i += 1\n"
-            "    except Exception as _exc:\n"
-            "        return _out, _i, _exc\n"
-            "    return _out, n, None\n"
-        )
-        code = compile(source, "<repro.engine.compile:kernel>", "exec")
-        exec(code, self.ns)  # noqa: S102 - self-generated source only
-        return self.ns["_kern"]
-
-    # -- emission helpers ---------------------------------------------------
-
-    def pline(self, depth: int, text: str) -> None:
-        self.prologue.append("    " * depth + text)
-
-    def column(self, name: str) -> str:
-        """The hoisted local for ``cols[name]``, binding it on first use."""
-        local = self._columns.get(name)
-        if local is None:
-            self.n += 1
-            local = f"_col{self.n}"
-            self._columns[name] = local
-            self.pline(2, "try:")
-            self.pline(3, f"{local} = cols[{name!r}]")
-            self.pline(2, "except KeyError:")
-            self.pline(3, f"_var_miss({name!r}, cols)")
-        return local
-
-    # -- node emitters that differ from the row tier ------------------------
-
-    def _gen_var(self, term: Var, env: str, depth: int) -> str:
-        bound = self._scope.get(term.name)
-        if bound is not None:
-            return bound
-        return f"{self.column(term.name)}[_i]"
-
-    def _gen_let(self, term: Let, env: str, depth: int) -> str:
-        value = self.gen(term.value, env, depth)
-        out = self.temp()
-        self.line(depth, f"{out} = {value}")
-        scope = self._scope
-        had = term.var in scope
-        saved = scope.get(term.var)
-        scope[term.var] = out
-        try:
-            return self.gen(term.body, env, depth)
-        finally:
-            if had:
-                scope[term.var] = saved
-            else:
-                del scope[term.var]
-
-    def _gen_fallback(self, term: Term, env: str, depth: int) -> str:
-        # The closure-tier subtree takes an env dict: materialize one per
-        # row from the subtree's free variables.  Let-bound temps win over
-        # columns; columns absent from the chunk are omitted (guarded by
-        # the ``if _n in cols`` prologue filter) so the interpreter's own
-        # unbound-variable error fires only if the row actually reads the
-        # name — exactly the interpreter's laziness.
-        sub = self.bind("s", self.compiler._compile(term, self.counter))
-        names = sorted(free_vars(term))
-        scoped = [(name, self._scope[name]) for name in names if name in self._scope]
-        col_names = tuple(name for name in names if name not in self._scope)
-        self.n += 1
-        env_name = f"_env{self.n}"
-        if col_names:
-            pairs = f"_sub{self.n}"
-            self.pline(
-                2,
-                f"{pairs} = [(_n, cols[_n]) for _n in {col_names!r} "
-                "if _n in cols]",
-            )
-            self.line(depth, f"{env_name} = {{_n: _c[_i] for _n, _c in {pairs}}}")
-        else:
-            self.line(depth, f"{env_name} = {{}}")
-        for name, bound in scoped:
-            self.line(depth, f"{env_name}[{name!r}] = {bound}")
-        out = self.temp()
-        self.line(depth, f"{out} = {sub}({env_name})")
-        return out
-
-    # -- comprehension fast form --------------------------------------------
-    #
-    # Where a term lowers to a *single Python expression* (walrus
-    # assignments standing in for the statement tier's temps), the whole
-    # chunk evaluates as one list comprehension:
-    #
-    #     def _kern(cols, n):
-    #         try:
-    #             <column hoists>
-    #             return [<expr> for _i in range(n)], n, None
-    #         except Exception:
-    #             return _slow(cols, n)
-    #
-    # which is ~2.5x faster than the statement loop (one LIST_APPEND per
-    # row, no loop-counter or try-frame bookkeeping per row).  Error arms
-    # that the statement tier spells out (division by zero, type faults,
-    # unbound parameters) are not re-spelled here: the raw exception —
-    # KeyError, ZeroDivisionError, TypeError — aborts the comprehension
-    # and the chunk reruns through ``_slow``, whose loop reproduces the
-    # structured error and exact truncation row.  Success paths must agree
-    # between the two forms; error paths only need to *reach* ``_slow``.
-
-    def _comprehension_kernel(
-        self, term: Term, predicate: bool, slow: KernelFn
-    ) -> KernelFn:
-        expr = self.xgen(term)
-        if predicate:
-            t = self.wtemp()
-            expr = (
-                f"(True if ({t} := {expr}) is True else "
-                f"(False if {t} is False or {t} is NULL else _pred_miss()))"
-            )
-        self.ns["_slow"] = slow
-        prologue = ("\n".join(self.prologue) + "\n") if self.prologue else ""
-        source = (
-            "def _kern(cols, n):\n"
-            "    try:\n"
-            + prologue
-            + f"        return [{expr} for _i in range(n)], n, None\n"
-            "    except Exception:\n"
-            "        return _slow(cols, n)\n"
-        )
-        code = compile(source, "<repro.engine.compile:kernel-fast>", "exec")
-        exec(code, self.ns)  # noqa: S102 - self-generated source only
-        return self.ns["_kern"]
 
     def wtemp(self) -> str:
         """A name for a walrus-assignment target (function-scoped: an
@@ -1343,19 +939,30 @@ class _KernelEmitter(_SourceEmitter):
         self.n += 1
         return f"_w{self.n}"
 
+    def column(self, name: str) -> str:
+        """The hoisted local for ``cols[name]``, binding it on first use.
+        An absent column raises KeyError in the prologue, so the rerun
+        raises the unbound-variable error at the row that reads it."""
+        local = self._columns.get(name)
+        if local is None:
+            self.n += 1
+            local = self._columns[name] = f"_col{self.n}"
+            self.prologue.append(f"{local} = cols[{name!r}]")
+        return local
+
     def xgen(self, term: Term) -> str:
         """*term* as one Python expression, or raise ``NotImplementedError``
-        (abandoning the fast form for this kernel)."""
-        handler = self.xhandlers.get(type(term))
+        (abandoning the comprehension form for this kernel)."""
+        handler = _X_HANDLERS.get(type(term))
         if handler is None:
             return self._x_fallback(term)
         return handler(self, term)
 
     def _x_fallback(self, term: Term) -> str:
-        # Same closure-tier escape as the statement form, but the per-row
-        # env dict is built inline as a dict comprehension over prologue-
-        # hoisted (name, column) pairs, with let-bound temps layered on top.
-        sub = self.bind("s", self.compiler._compile(term, self.counter))
+        # The per-row env dict is built inline as a dict comprehension over
+        # prologue-hoisted (name, column) pairs, with let-bound temps
+        # layered on top.
+        sub = self.bind("s", self.compiler._compile(term, _Counter()))
         names = sorted(free_vars(term))
         scoped = [
             (name, self._scope[name]) for name in names if name in self._scope
@@ -1364,10 +971,9 @@ class _KernelEmitter(_SourceEmitter):
         if col_names:
             self.n += 1
             pairs = f"_sub{self.n}"
-            self.pline(
-                2,
+            self.prologue.append(
                 f"{pairs} = [(_n, cols[_n]) for _n in {col_names!r} "
-                "if _n in cols]",
+                "if _n in cols]"
             )
             env = f"{{_n: _c[_i] for _n, _c in {pairs}}}"
         else:
@@ -1377,7 +983,7 @@ class _KernelEmitter(_SourceEmitter):
             env = f"{{**{env}, {inner}}}"
         return f"{sub}({env})"
 
-    # -- expression-form node emitters --------------------------------------
+    # -- node emitters ------------------------------------------------------
 
     def _x_var(self, term: Var) -> str:
         bound = self._scope.get(term.name)
@@ -1394,8 +1000,8 @@ class _KernelEmitter(_SourceEmitter):
         return "NULL"
 
     def _x_param(self, term: Param) -> str:
-        # Raw KeyError on an unbound parameter reruns through the slow
-        # loop, which raises the structured UnboundParameterError.  Kept
+        # Raw KeyError on an unbound parameter reruns through the row
+        # closure, which raises the structured UnboundParameterError.  Kept
         # lazy (no prologue hoist) so a parameter referenced only in an
         # untaken If branch stays unread, as in the interpreter.
         return f"rt.params[{term.name!r}]"
@@ -1427,7 +1033,7 @@ class _KernelEmitter(_SourceEmitter):
         orelse = self.xgen(term.orelse)
         return (
             f"({then} if ({t} := {cond}) is True else "
-            f"({orelse} if {t} is False or {t} is NULL else _if_miss()))"
+            f"({orelse} if {t} is False or {t} is NULL else _not_boolean()))"
         )
 
     def _x_let(self, term: Let) -> str:
@@ -1453,7 +1059,7 @@ class _KernelEmitter(_SourceEmitter):
         return (
             f"(False if ({t} := {value}) is True else "
             f"(True if {t} is False else "
-            f"(NULL if {t} is NULL else _not_miss())))"
+            f"(NULL if {t} is NULL else _not_boolean())))"
         )
 
     def _x_isnull(self, term: IsNull) -> str:
@@ -1463,7 +1069,7 @@ class _KernelEmitter(_SourceEmitter):
         op = term.op
         if op in ("and", "or"):
             return self._x_shortcircuit(term)
-        if op not in _SRC_BINOPS:
+        if op not in _BINOPS:
             raise NotImplementedError(op)
         lt = self.wtemp()
         rt_ = self.wtemp()
@@ -1478,7 +1084,7 @@ class _KernelEmitter(_SourceEmitter):
             )
         else:
             # Raw operator: ZeroDivisionError / TypeError rerun through
-            # the slow loop, which raises the structured fault.
+            # the row closure, which raises the structured fault.
             body = f"({lt} {op} {rt_})"
         # Bitwise `|` forces *both* walruses before the NULL test — the
         # row tier evaluates both operands before propagating NULL.
@@ -1506,36 +1112,7 @@ class _KernelEmitter(_SourceEmitter):
         )
 
 
-#: BinOp operators the source tier emits inline (and/or are special-cased).
-_SRC_BINOPS = frozenset(
-    ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=")
-)
-
-_SRC_HANDLERS: dict[type, Callable[..., str]] = {
-    Var: _SourceEmitter._gen_var,
-    Const: _SourceEmitter._gen_const,
-    Null: _SourceEmitter._gen_null,
-    Param: _SourceEmitter._gen_param,
-    Extent: _SourceEmitter._gen_extent,
-    RecordCons: _SourceEmitter._gen_record,
-    Proj: _SourceEmitter._gen_proj,
-    If: _SourceEmitter._gen_if,
-    Let: _SourceEmitter._gen_let,
-    Not: _SourceEmitter._gen_not,
-    IsNull: _SourceEmitter._gen_isnull,
-    BinOp: _SourceEmitter._gen_binop,
-}
-
-# The tables hold plain function objects (no dynamic dispatch), so subclass
-# overrides are wired in explicitly: each emitter class carries its own
-# ``handlers`` table and ``gen`` dispatches through it.
-_SourceEmitter.handlers = _SRC_HANDLERS
-_KERNEL_HANDLERS = dict(_SRC_HANDLERS)
-_KERNEL_HANDLERS[Var] = _KernelEmitter._gen_var
-_KERNEL_HANDLERS[Let] = _KernelEmitter._gen_let
-_KernelEmitter.handlers = _KERNEL_HANDLERS
-
-#: Expression-form emitters for the comprehension fast kernel.
+#: Expression-form emitters for the comprehension kernel.
 _X_HANDLERS: dict[type, Callable[..., str]] = {
     Var: _KernelEmitter._x_var,
     Const: _KernelEmitter._x_const,
@@ -1550,7 +1127,6 @@ _X_HANDLERS: dict[type, Callable[..., str]] = {
     IsNull: _KernelEmitter._x_isnull,
     BinOp: _KernelEmitter._x_binop,
 }
-_KernelEmitter.xhandlers = _X_HANDLERS
 
 _HANDLERS: dict[type, Callable[[ExprCompiler, Any, _Counter], EvalFn]] = {
     Var: ExprCompiler._compile_var,

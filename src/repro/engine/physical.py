@@ -278,7 +278,7 @@ class _Context:
         return CompiledExpr(run, term, 0, 1)
 
     def kernel(self, term: Term) -> CompiledKernel:
-        """The batch kernel for *term*: tier-3 codegen when compiling, else
+        """The batch kernel for *term*: generated when compiling, else
         a loop over the interpreter."""
         if self._compiler is not None:
             return self._compiler.compile_kernel(term)

@@ -1,4 +1,4 @@
-"""Batch-at-a-time execution: chunk plumbing, tier-3 kernels, semantics.
+"""Batch-at-a-time execution: chunk plumbing, batch kernels, semantics.
 
 The engine has one execution protocol — columnar chunks — and its
 contract is that chunking is *unobservable*: at every batch size the
@@ -17,7 +17,8 @@ from itertools import product
 import pytest
 
 from repro.algebra.operators import Scan, Select
-from repro.calculus.terms import BinOp, Const, Proj, Var
+from repro.calculus.evaluator import DivisionByZeroError, Evaluator
+from repro.calculus.terms import BinOp, Const, If, Proj, Var
 from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
@@ -112,41 +113,75 @@ class TestChunk:
 
 
 # ---------------------------------------------------------------------------
-# Tier-3 kernels: a full operator/value sweep against the row closures
+# Batch kernels: a full operator/value sweep against the interpreter
 # ---------------------------------------------------------------------------
+
+
+def _kernel_outcomes(kernel, rows) -> list:
+    """The kernel over *rows* as one chunk: ``(type, value)`` per row it
+    evaluated, then the error class of the row it truncated at."""
+    cols = {name: [env[name] for env in rows] for name in rows[0]}
+    values, t, err = kernel.fn(cols, len(rows))
+    assert len(values) == t and (err is None) == (t == len(rows))
+    outcomes = [(type(value), value) for value in values]
+    return outcomes + ([] if err is None else [type(err)])
+
+
+def _reference_outcomes(term, rows) -> list:
+    """The interpreter row by row, in the same shape, stopping at the
+    first fault."""
+    evaluator = Evaluator(Database())
+    outcomes = []
+    for env in rows:
+        try:
+            value = evaluator.evaluate(term, env)
+        except Exception as exc:  # noqa: BLE001 - errors are compared
+            return outcomes + [type(exc)]
+        outcomes.append((type(value), value))
+    return outcomes
 
 
 class TestKernelSweep:
     #: Every scalar shape the engine's 3VL arithmetic can meet, NULL
     #: included; the cross product drives every kernel branch (NULL
     #: propagation, scalar comparison, identity comparison, zero division,
-    #: type faults) through the comprehension fast form and its slow rerun.
+    #: type faults) through the comprehension and its fault rerun.
     VALUES = (0, 1, 2, 2.5, -3, NULL, True, False, "s", "t")
 
     @pytest.mark.parametrize(
         "op", ["+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=",
                "and", "or"]
     )
-    def test_kernel_matches_row_closure(self, op):
-        compiler = ExprCompiler()
+    def test_kernel_matches_interpreter(self, op):
+        # Anchored on the interpreter, not the row closure: the kernel's
+        # fault rerun *is* the row closure, so that comparison would be
+        # circular on exactly the rows that fault.
         term = BinOp(op, Var("x"), Var("y"))
-        kernel = compiler.compile_kernel(term)
-        closure = compiler.compile(term)
-        pairs = list(product(self.VALUES, repeat=2))
-        cols = {"x": [p[0] for p in pairs], "y": [p[1] for p in pairs]}
-        values, t, err = kernel.fn(cols, len(pairs))
-        assert len(values) == t
-        for i in range(t):
-            expect = closure.fn({"x": pairs[i][0], "y": pairs[i][1]})
-            assert values[i] is expect or values[i] == expect or (
-                expect is NULL and values[i] is NULL
-            ), f"{op}: row {i} {pairs[i]} -> {values[i]!r} != {expect!r}"
-        if t < len(pairs):
-            # The kernel truncated: the row closure must fault on the very
-            # same operand pair, with the very same error class.
-            assert err is not None
-            with pytest.raises(type(err)):
-                closure.fn({"x": pairs[t][0], "y": pairs[t][1]})
+        kernel = ExprCompiler().compile_kernel(term)
+        rows = [{"x": x, "y": y} for x, y in product(self.VALUES, repeat=2)]
+        expected = _reference_outcomes(term, rows)
+        assert _kernel_outcomes(kernel, rows) == expected
+
+    @pytest.mark.parametrize("shape", ["plus", "if"])
+    def test_deep_term_kernel_matches_interpreter(self, shape):
+        # 120 nested nodes exceed the comprehension form's parser limits,
+        # so the whole kernel is the loop over the row closure; it must
+        # still agree with the interpreter, fault row and class included.
+        term = BinOp("/", Const(100), Var("x"))
+        for _ in range(120):
+            if shape == "plus":
+                term = BinOp("+", term, Const(1))
+            else:
+                term = If(BinOp("==", Var("y"), Const(0)), Const(0), term)
+        kernel = ExprCompiler().compile_kernel(term)
+        assert kernel.fn.__qualname__.startswith("_loop_kernel")
+        rows = [
+            {"x": x, "y": y}
+            for x, y in zip([1, NULL, 4, 0, 5], [1, 1, 0, 1, 1])
+        ]
+        outcomes = _kernel_outcomes(kernel, rows)
+        assert outcomes == _reference_outcomes(term, rows)
+        assert len(outcomes) == 4 and outcomes[-1] is DivisionByZeroError
 
     def test_predicate_kernel_three_valued_filter(self):
         # x > y under 3VL: NULL operands filter as False, never raise.

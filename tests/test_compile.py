@@ -1,23 +1,24 @@
-"""The expression compiler: compiled closures must be indistinguishable
-from the tree-walking interpreter.
+"""The expression compiler: compiled closures and batch kernels must be
+indistinguishable from the tree-walking interpreter.
 
-Four groups of guarantees:
+Five groups of guarantees:
 
 * **Three-valued NULL logic** — a parametrized sweep over comparisons,
-  arithmetic, the full ``and``/``or`` truth tables, ``if``, projections
-  off NULL, and division by zero, each checked for exact agreement between
-  the compiled closure and :class:`~repro.calculus.evaluator.Evaluator`
-  (same value, or same exception class).  Every case runs through both
-  tiers: the source-generation tier (the term as-is) and the
-  closure-composition tier (the term wrapped in a ``Lambda`` application,
-  which the source emitter does not handle).
+  arithmetic, the full ``and``/``or`` truth tables, ``if``, ``let``,
+  projections off NULL, and division by zero, each checked for exact
+  agreement with :class:`~repro.calculus.evaluator.Evaluator` (same value,
+  or same exception class at the same row).  Every case runs as a row
+  closure, as a batch kernel over a two-row chunk, and inside a ``Lambda``
+  application (the body evaluated in a captured environment).
 * **Per-node fallback** — a residual comprehension subtree degrades that
   subtree to the interpreter, leaves the rest compiled, reports ``mixed``,
   and still produces the interpreter's value.
 * **Blocking-operator memoization** — hash join, nested-loop join, and
   hash nest build their blocking side exactly once per execution even when
-  their ``rows()`` stream is re-entered; the regression is pinned by
+  their ``batches()`` stream is re-entered; the regression is pinned by
   counting the build child's ``rows_produced``.
+* **Codegen counts** — compiling the corpus generates no Python source,
+  and its first execution at most one source per distinct kernel term.
 * **EXPLAIN ANALYZE annotations** — per-operator ``eval_mode`` and
   ``eval_ms`` reporting, in both engine modes, including the rendered
   report text and the no-profiling default.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import pytest
 
+from corpus import CORPUS
 from repro.calculus.evaluator import EvaluationError, Evaluator
 from repro.calculus.monoids import SET
 from repro.calculus.terms import (
@@ -49,6 +51,7 @@ from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.values import NULL, Record, SetValue
+from repro.engine import compile as compile_module
 from repro.engine.compile import CompiledExpr, ExprCompiler
 from repro.engine.physical import (
     PHashJoin,
@@ -87,7 +90,7 @@ def _outcome(fn):
 
 
 # ---------------------------------------------------------------------------
-# Three-valued NULL logic: compiled == interpreted, on both tiers
+# Three-valued NULL logic: compiled == interpreted, as closures and kernels
 # ---------------------------------------------------------------------------
 
 
@@ -117,21 +120,51 @@ def _null_cases() -> list:
 
 
 _ENV = {"x": Record(a=NULL, n=NULL)}
+#: A row on which every case evaluates without NULLs in the way.
+_CLEAN = {"x": Record(a=Record(b=1), n=3)}
 
 
-@pytest.mark.parametrize("term", _null_cases(), ids=repr)
-def test_null_semantics_match_interpreter(term, db):
-    evaluator, compiler = _engines(db)
-    expected = _outcome(lambda: evaluator.evaluate(term, dict(_ENV)))
+def _each_row(fn, rows) -> list:
+    """*fn*'s outcome on each row, stopping after the first fault — the
+    truncation a batch kernel reports."""
+    outcomes = []
+    for env in rows:
+        outcomes.append(_outcome(lambda: fn(dict(env))))
+        if outcomes[-1][1] is not None:
+            break
+    return outcomes
+
+
+def _row_form(compiler, term, rows) -> list:
     compiled = compiler.compile(term)
     assert compiled.mode == "compiled"
-    assert _outcome(lambda: compiled(dict(_ENV))) == expected
+    return _each_row(compiled, rows)
+
+
+def _kernel_form(compiler, term, rows) -> list:
+    cols = {"x": [env["x"] for env in rows]}
+    values, t, err = compiler.compile_kernel(term).fn(cols, len(rows))
+    assert len(values) == t and (err is None) == (t == len(rows))
+    return [(value, None) for value in values] + (
+        [] if err is None else [(None, type(err))]
+    )
+
+
+@pytest.mark.parametrize(
+    "form", [_row_form, _kernel_form], ids=["row", "kernel"]
+)
+@pytest.mark.parametrize("term", _null_cases(), ids=repr)
+def test_null_semantics_match_interpreter(term, form, db):
+    evaluator, compiler = _engines(db)
+    rows = [_ENV, _CLEAN]
+    expected = _each_row(lambda env: evaluator.evaluate(term, env), rows)
+    assert form(compiler, term, rows) == expected
 
 
 @pytest.mark.parametrize("term", _null_cases(), ids=repr)
 def test_null_semantics_match_on_closure_tier(term, db):
-    # Wrapping in a Lambda application pushes the body outside the source
-    # emitter's subset, so the whole term lowers via closure composition.
+    # Wrapping in a Lambda application evaluates the body in the captured
+    # environment of a closure call.
     wrapped = Apply(Lambda("_w", term), Const(0))
     evaluator, compiler = _engines(db)
     expected = _outcome(lambda: evaluator.evaluate(wrapped, dict(_ENV)))
@@ -220,6 +253,32 @@ def test_no_compile_option_disables_the_compiler(db):
     assert compiled.execute(db) == QueryPipeline(db).run_oql(
         "select r.v from r in R where r.k > 2"
     )
+
+
+def test_codegen_counts_on_the_corpus(databases, monkeypatch):
+    # Row closures are composed, never generated, so cold compilation
+    # compiles no Python source.  The first execution generates one
+    # comprehension per kernel term at most: a faulting chunk reruns
+    # through the term's row closure, not a second generated loop.
+    sources = []
+    define = compile_module._define
+
+    def counting(source, namespace, name):
+        sources.append(source)
+        return define(source, namespace, name)
+
+    monkeypatch.setattr(compile_module, "_define", counting)
+    queries = [
+        (QueryPipeline(databases[q.family]).compile_oql(q.oql), q.family)
+        for q in CORPUS
+    ]
+    assert sources == []
+    kernel_terms = 0
+    for compiled, family in queries:
+        compiled.execute(databases[family])
+        memo = compiled.expr_compiler()._memo
+        kernel_terms += sum(kind in ("kexpr", "kpred") for kind, *_ in memo)
+    assert 0 < len(sources) <= kernel_terms
 
 
 # ---------------------------------------------------------------------------
